@@ -243,7 +243,7 @@ fn main() {
     }
 
     // Tree-walker companion for the settle headline: the default records
-    // above run the bytecode backend, and this one reruns the 256-stage
+    // above run the levelized backend, and this one reruns the 256-stage
     // chain on the reference tree-walker so the `bytecode_speedup` field
     // records the lowering win in the same report.
     {

@@ -2,7 +2,7 @@
 //!
 //! The generic `*_into` operations in [`ops`](crate::Bits) loop over a
 //! runtime limb count, paying a bounds check and a loop-carried branch per
-//! limb. The simulator's bytecode backend knows each operand's width at
+//! limb. The simulator's bytecode lowering knows each operand's width at
 //! lowering time, so for the common wide classes — 2 limbs (65..=128 bits)
 //! and 4 limbs (129..=256 bits) — it selects one of these kernels instead.
 //! Monomorphizing over `L` lets the compiler emit straight-line code over

@@ -594,7 +594,7 @@ fn h_wire(r: &str) -> String {
 
 fn to_bool(e: Expr, design: &Design) -> Expr {
     match design.expr_width(&e) {
-        Some(1) => e,
+        Ok(1) => e,
         _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
     }
 }

@@ -370,7 +370,7 @@ fn arg_wire(id: usize, j: usize) -> String {
 /// Reduces an expression to one bit (Verilog truthiness) if needed.
 fn to_bool(e: Expr, design: &Design) -> Expr {
     match design.expr_width(&e) {
-        Some(1) => e,
+        Ok(1) => e,
         _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
     }
 }

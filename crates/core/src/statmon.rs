@@ -87,7 +87,7 @@ impl StatisticsMonitor {
             let cnt = Self::counter_name(&ev.name);
             new_items.push(Item::Net(NetDecl::vector(NetKind::Reg, cnt.clone(), 32)));
             let truthy = match design.expr_width(&ev.expr) {
-                Some(1) => ev.expr.clone(),
+                Ok(1) => ev.expr.clone(),
                 _ => Expr::Unary(UnaryOp::RedOr, Box::new(ev.expr.clone())),
             };
             let body = Stmt::if_then(

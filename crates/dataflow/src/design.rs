@@ -93,6 +93,22 @@ pub struct BbInst {
     pub clock_ports: Vec<String>,
 }
 
+/// Why [`Design::expr_width`] could not give an expression a static width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WidthError {
+    /// A name that is neither a declared signal nor a constant.
+    UnknownSignal(String),
+    /// A part-select bound or replication count that is not constant.
+    NonConst,
+    /// Constant part-select bounds in the wrong order (`lsb > msb`).
+    Reversed {
+        /// The (smaller) value written in the msb position.
+        msb: u64,
+        /// The (larger) value written in the lsb position.
+        lsb: u64,
+    },
+}
+
 /// A fully resolved flat design.
 #[derive(Debug, Clone)]
 pub struct Design {
@@ -138,16 +154,30 @@ impl Design {
     /// Computes the static width of an expression in this design, following
     /// Verilog's pragmatic rules: binary arithmetic/bitwise take the wider
     /// operand, comparisons and logical operators are 1 bit, shifts keep the
-    /// left width. Returns `None` for unknown names or non-constant bounds.
-    pub fn expr_width(&self, e: &Expr) -> Option<u32> {
+    /// left width. This is the one copy of the width rules: the simulator's
+    /// compiler maps the [`WidthError`] onto its own typed errors, and
+    /// callers that only need a best-effort width take `.ok()`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown names, non-constant part-select bounds or
+    /// replication counts, and reversed constant part-select bounds.
+    pub fn expr_width(&self, e: &Expr) -> Result<u32, WidthError> {
         use hwdbg_rtl::{BinaryOp, UnaryOp};
-        Some(match e {
+        let konst = |e: &Expr| {
+            eval_const(e, &self.consts)
+                .map(|v| v.to_u64())
+                .map_err(|_| WidthError::NonConst)
+        };
+        Ok(match e {
             Expr::Literal { value, .. } => value.width(),
             Expr::Ident(n) => {
                 if let Some(sig) = self.signals.get(n) {
                     sig.width
+                } else if let Some(c) = self.consts.get(n) {
+                    c.width()
                 } else {
-                    self.consts.get(n)?.width()
+                    return Err(WidthError::UnknownSignal(n.clone()));
                 }
             }
             Expr::Unary(op, inner) => match op {
@@ -165,7 +195,10 @@ impl Design {
             }
             Expr::Ternary(_, t, f) => self.expr_width(t)?.max(self.expr_width(f)?),
             Expr::Index(n, _) => {
-                let sig = self.signals.get(n)?;
+                let sig = self
+                    .signals
+                    .get(n)
+                    .ok_or_else(|| WidthError::UnknownSignal(n.clone()))?;
                 if sig.mem_depth.is_some() {
                     sig.width
                 } else {
@@ -173,10 +206,9 @@ impl Design {
                 }
             }
             Expr::Range(_, msb, lsb) => {
-                let m = eval_const(msb, &self.consts).ok()?.to_u64();
-                let l = eval_const(lsb, &self.consts).ok()?.to_u64();
+                let (m, l) = (konst(msb)?, konst(lsb)?);
                 if l > m {
-                    return None;
+                    return Err(WidthError::Reversed { msb: m, lsb: l });
                 }
                 (m - l + 1) as u32
             }
@@ -187,13 +219,28 @@ impl Design {
                 }
                 sum
             }
-            Expr::Repeat(n, body) => {
-                let count = eval_const(n, &self.consts).ok()?.to_u64() as u32;
-                count * self.expr_width(body)?
-            }
+            Expr::Repeat(n, body) => konst(n)? as u32 * self.expr_width(body)?,
             Expr::WidthCast(w, _) => *w,
             Expr::SignCast(_, inner) => self.expr_width(inner)?,
         })
+    }
+
+    /// True if the expression is signed under Verilog's rules: a
+    /// declared-signed identifier or `$signed(...)`; negation and bitwise
+    /// NOT keep their operand's signedness; binary (non-boolean) operators
+    /// and ternaries are signed only when both operands are.
+    pub fn expr_signed(&self, e: &Expr) -> bool {
+        use hwdbg_rtl::UnaryOp;
+        match e {
+            Expr::Ident(n) => self.signals.get(n).is_some_and(|s| s.signed),
+            Expr::SignCast(signed, _) => *signed,
+            Expr::Unary(UnaryOp::Neg | UnaryOp::Not, inner) => self.expr_signed(inner),
+            Expr::Binary(op, l, r) if !op.is_boolean() => {
+                self.expr_signed(l) && self.expr_signed(r)
+            }
+            Expr::Ternary(_, t, f) => self.expr_signed(t) && self.expr_signed(f),
+            _ => false,
+        }
     }
 
     /// Width of an lvalue (sum of part widths for concatenations).

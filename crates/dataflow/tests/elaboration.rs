@@ -121,13 +121,16 @@ fn expr_width_agrees_with_declared_signals() {
     endmodule";
     let d = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
     let e = hwdbg_rtl::parse_expr("a + b").unwrap();
-    assert_eq!(d.expr_width(&e), Some(16));
+    assert_eq!(d.expr_width(&e), Ok(16));
     let e = hwdbg_rtl::parse_expr("a == b").unwrap();
-    assert_eq!(d.expr_width(&e), Some(1));
+    assert_eq!(d.expr_width(&e), Ok(1));
     let e = hwdbg_rtl::parse_expr("{a, b}").unwrap();
-    assert_eq!(d.expr_width(&e), Some(24));
+    assert_eq!(d.expr_width(&e), Ok(24));
     let e = hwdbg_rtl::parse_expr("ghost + 1").unwrap();
-    assert_eq!(d.expr_width(&e), None);
+    assert_eq!(
+        d.expr_width(&e),
+        Err(hwdbg_dataflow::WidthError::UnknownSignal("ghost".into()))
+    );
 }
 
 #[test]

@@ -171,6 +171,6 @@ fn eff_width(design: &Design, e: &Expr) -> Option<u32> {
         Expr::SignCast(_, inner) => eff_width(design, inner),
         // Concats, repeats, selects, and casts are exact-width constructs;
         // the design's width rules are already the effective width.
-        _ => design.expr_width(e),
+        _ => design.expr_width(e).ok(),
     }
 }

@@ -63,7 +63,7 @@ fn scan_cases(design: &Design, stmt: &Stmt, sink: &mut LintSink<'_>) {
                 return;
             }
             // No default: prove full coverage or flag.
-            let Some(width) = design.expr_width(expr) else {
+            let Ok(width) = design.expr_width(expr) else {
                 return;
             };
             if width > 16 {

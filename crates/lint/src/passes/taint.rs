@@ -584,7 +584,7 @@ fn check_expr(design: &Design, e: &Expr, span: Span, sink: &mut LintSink<'_>) {
     if let Expr::Binary(BinaryOp::Shr | BinaryOp::AShr, lhs, amt) = e {
         if let Expr::WidthCast(w, inner) = &**lhs {
             let shift = const_value(amt, design).map_or(0, |v| v.to_u64());
-            let inner_w = design.expr_width(inner);
+            let inner_w = design.expr_width(inner).ok();
             if shift > 0 && inner_w.is_some_and(|iw| iw > *w) {
                 let iw = inner_w.unwrap_or(*w);
                 sink.emit(

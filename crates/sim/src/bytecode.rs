@@ -1,5 +1,5 @@
-//! Bytecode backend: flat register-machine programs lowered from the
-//! compiled schedule.
+//! Bytecode programs, the execution tier of the levelized backend: flat
+//! register-machine programs lowered from the compiled schedule.
 //!
 //! The tree-walker in [`crate::compile`] pays a match dispatch and a `Box`
 //! pointer chase per AST node on every settle. This module lowers each

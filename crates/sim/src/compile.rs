@@ -19,7 +19,7 @@
 //! interpreter; `crates/sim/tests/compiled_equivalence.rs` holds the
 //! differential proof against full-pass settling.
 
-use crate::eval::{apply_binary_signed_into, effective_mem_addr, expr_width, is_signed};
+use crate::eval::{apply_binary_signed_into, effective_mem_addr};
 use crate::state::SimState;
 use crate::{LogRecord, SimError};
 use hwdbg_bits::Bits;
@@ -138,7 +138,7 @@ pub(crate) enum CStmt {
     Display {
         format: String,
         args: Vec<CExpr>,
-        /// Per-argument declared signedness (via [`crate::eval::is_signed`]
+        /// Per-argument declared signedness (via [`Design::expr_signed`]
         /// at compile time), so `%d` renders two's-complement values.
         signs: Vec<bool>,
     },
@@ -384,7 +384,7 @@ impl Ctx<'_> {
             Expr::Unary(op, inner) => CExpr::Unary(*op, Box::new(self.expr(inner)?)),
             Expr::Binary(op, l, r) => CExpr::Binary {
                 op: *op,
-                signed: is_signed(l, self.design) && is_signed(r, self.design),
+                signed: self.design.expr_signed(l) && self.design.expr_signed(r),
                 a: Box::new(self.expr(l)?),
                 b: Box::new(self.expr(r)?),
             },
@@ -392,7 +392,7 @@ impl Ctx<'_> {
                 cond: Box::new(self.expr(c)?),
                 t: Box::new(self.expr(t)?),
                 f: Box::new(self.expr(f)?),
-                width: expr_width(e, self.design)?,
+                width: self.design.expr_width(e)?,
             },
             Expr::Index(n, idx) => {
                 let sig = self
@@ -607,7 +607,7 @@ impl Ctx<'_> {
                     .collect::<Result<_, _>>()?,
                 signs: args
                     .iter()
-                    .map(|a| crate::eval::is_signed(a, self.design))
+                    .map(|a| self.design.expr_signed(a))
                     .collect(),
             },
             Stmt::Finish => CStmt::Finish,
@@ -626,10 +626,10 @@ pub(crate) struct EvalScratch {
     pool: Vec<Bits>,
     /// Resolved-write buffer reused across blocking assignments.
     writes: Vec<CNbWrite>,
-    /// Narrow (≤ 64-bit) register file for the bytecode backend. Values
+    /// Narrow (≤ 64-bit) register file for bytecode programs. Values
     /// are canonical: bits above a register's static width are zero.
     pub(crate) nregs: Vec<u64>,
-    /// Wide (> 64-bit) register file for the bytecode backend, pre-spilled
+    /// Wide (> 64-bit) register file for bytecode programs, pre-spilled
     /// to the design's maximum width so steady state never allocates.
     pub(crate) wregs: Vec<Bits>,
 }
@@ -666,7 +666,7 @@ impl EvalScratch {
 
     /// Sizes the bytecode register files to the compiled programs' maxima.
     /// Wide registers are pre-spilled to `max_width` up front, preserving
-    /// the zero-allocations-per-cycle invariant under the bytecode backend.
+    /// the zero-allocations-per-cycle invariant for bytecode execution.
     pub(crate) fn size_registers(&mut self, n_narrow: usize, n_wide: usize, max_width: u32) {
         self.nregs = vec![0; n_narrow];
         let w = max_width.max(65); // force the spilled representation

@@ -6,11 +6,12 @@
 //! AST cloning. Combinational settling is dependency-driven by default (see
 //! [`SettleMode`]): after the initial full evaluation, only drivers whose
 //! read-set intersects the signals written since their last run are
-//! re-executed.
+//! re-executed. Both [`Backend`]s settle through the same worklist loop;
+//! the levelized backend adds fused regions to its node space, the Tree
+//! reference runs it with none.
 
 use crate::bytecode::{lower_unit, BcProgram, NO_PROMOTION};
 use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow};
-use crate::eval::eval_expr;
 use crate::sched::{build_schedule, Schedule};
 use crate::state::{RegInit, SimState};
 use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
@@ -35,31 +36,30 @@ pub enum SettleMode {
     FullPass,
 }
 
-/// Execution backend for compiled unit bodies.
+/// Execution backend: one production path and one reference oracle.
 ///
-/// Both backends run the same compiled schedule and are observably
-/// identical (the differential suite in
+/// Both backends run the same compiled schedule through the same settle
+/// loop and are observably identical (the differential suite in
 /// `crates/sim/tests/backend_differential.rs` holds them to byte-identical
-/// verdicts, logs, and waveforms); they differ only in how a unit body
-/// executes.
+/// verdicts, logs, and waveforms); they differ only in how unit bodies
+/// execute and whether acyclic comb logic is fused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Walk the `CStmt`/`CExpr` tree directly. The reference
-    /// implementation — simplest possible execution, kept for
-    /// differential testing and as a fallback.
+    /// Walk the `CStmt`/`CExpr` tree directly, one unit per worklist
+    /// node (no fused regions). The reference implementation — simplest
+    /// possible execution, kept for differential testing.
     Tree,
-    /// Execute flat register-machine bytecode lowered from the tree at
-    /// compile time (see [`crate::bytecode`]). Unit bodies that cannot be
-    /// statically lowered (non-constant part-select bounds and the like)
-    /// transparently keep the tree-walker. Settling runs the per-unit
-    /// worklist.
-    Bytecode,
-    /// Bytecode execution under the levelized static schedule (see
-    /// [`crate::sched`]): acyclic comb regions run as fused straight-line
-    /// programs in topological rank order — no worklist inside a region,
-    /// region-internal signals promoted to registers — while cyclic
-    /// regions and un-lowerable units keep the worklist fallback. This is
-    /// the production backend.
+    /// The production backend: bytecode execution under the levelized
+    /// static schedule (see [`crate::sched`]). Acyclic comb regions run as
+    /// fused straight-line programs in topological rank order — no
+    /// worklist inside a region, region-internal signals promoted to
+    /// registers — while cyclic regions, blackboxes, and units that need
+    /// it stay on the worklist as single units. Every unit and clocked
+    /// process also carries its own lowered program (see
+    /// [`crate::bytecode`]); fallback units, demoted regions, clocked
+    /// processes, and the [`SettleMode::FullPass`] sweep run those, and a
+    /// body that cannot be statically lowered (non-constant part-select
+    /// bounds and the like) keeps the tree-walker.
     #[default]
     Levelized,
 }
@@ -80,7 +80,7 @@ pub struct SimConfig {
     pub log_capacity: usize,
     /// Combinational scheduling strategy.
     pub settle_mode: SettleMode,
-    /// Unit-body execution backend (bytecode by default; see [`Backend`]).
+    /// Execution backend (levelized by default; see [`Backend`]).
     pub backend: Backend,
     /// When true, out-of-bounds memory and bit writes raise
     /// [`SimError::OutOfBounds`] instead of being silently dropped.
@@ -107,9 +107,10 @@ pub struct SimConfig {
     pub deadline: Option<std::time::Instant>,
 }
 
-/// A settle checks the deadline whenever `runs & DEADLINE_CHECK_MASK == 0`:
-/// every 1024 unit executions, a few microseconds of work even in debug
-/// builds, so deadline precision stays far below any sane budget.
+/// A settle checks the deadline whenever its unit-execution count crosses a
+/// multiple of `DEADLINE_CHECK_MASK + 1`: every 1024 unit executions, a few
+/// microseconds of work even in debug builds, so deadline precision stays
+/// far below any sane budget.
 pub const DEADLINE_CHECK_MASK: u64 = 0x3FF;
 
 impl Default for SimConfig {
@@ -193,14 +194,11 @@ pub struct CompiledDesign {
     comb_progs: Vec<Option<BcProgram>>,
     /// Per clocked process: its lowered bytecode (same fallback rule).
     proc_progs: Vec<Option<BcProgram>>,
-    /// Register-file sizes needed by the largest lowered program, for
-    /// pre-sizing each simulator's [`EvalScratch`] once at build time.
-    bc_narrow: usize,
-    bc_wide: usize,
     /// The levelized static schedule (fused regions + node maps).
     sched: Schedule,
-    /// Register-file maxima including the fused region programs, which
-    /// can exceed any single unit's requirements.
+    /// Register-file sizes needed by the largest lowered program (per-unit
+    /// or fused region), for pre-sizing each levelized simulator's
+    /// [`EvalScratch`] once at build time.
     lv_narrow: usize,
     lv_wide: usize,
     /// Per-clock stepping plans, one per declared scalar signal.
@@ -257,16 +255,17 @@ impl CompiledDesign {
             .iter()
             .map(|p| lower_unit(&p.body, &sig_width, &mem_width))
             .collect();
-        let (mut bc_narrow, mut bc_wide) = (0, 0);
-        for prog in comb_progs.iter().chain(&proc_progs).flatten() {
-            bc_narrow = bc_narrow.max(prog.n_narrow);
-            bc_wide = bc_wide.max(prog.n_wide);
-        }
         let sched = build_schedule(&compiled, &comb_progs, &sig_width, &mem_width);
-        let (mut lv_narrow, mut lv_wide) = (bc_narrow, bc_wide);
-        for region in &sched.regions {
-            lv_narrow = lv_narrow.max(region.prog.n_narrow);
-            lv_wide = lv_wide.max(region.prog.n_wide);
+        let (mut lv_narrow, mut lv_wide) = (0, 0);
+        let regions = sched.regions.iter().map(|r| &r.prog);
+        for prog in comb_progs
+            .iter()
+            .chain(&proc_progs)
+            .flatten()
+            .chain(regions)
+        {
+            lv_narrow = lv_narrow.max(prog.n_narrow);
+            lv_wide = lv_wide.max(prog.n_wide);
         }
         let mut plans = BTreeMap::new();
         for (name, sig) in &design.signals {
@@ -307,8 +306,6 @@ impl CompiledDesign {
             max_width,
             comb_progs,
             proc_progs,
-            bc_narrow,
-            bc_wide,
             sched,
             lv_narrow,
             lv_wide,
@@ -327,9 +324,11 @@ impl CompiledDesign {
     }
 
     /// `(lowered, total)` unit-body counts: how many comb units and
-    /// clocked processes execute bytecode under [`Backend::Bytecode`]
-    /// (the rest keep the tree-walker). Diagnostics and tests use this to
-    /// prove lowering actually engages on a design.
+    /// clocked processes have a per-unit bytecode program (the rest keep
+    /// the tree-walker). Under [`Backend::Levelized`] these programs run
+    /// for clocked processes, worklist fallback units, demoted regions,
+    /// and every unit of a [`SettleMode::FullPass`] sweep. Diagnostics and
+    /// tests use this to prove lowering actually engages on a design.
     pub fn lowering_coverage(&self) -> (usize, usize) {
         let all = self.comb_progs.iter().chain(&self.proc_progs);
         let total = self.comb_progs.len() + self.proc_progs.len();
@@ -356,6 +355,34 @@ impl CompiledDesign {
             .get(clock)
             .cloned()
             .unwrap_or_else(|| Arc::clone(&self.empty_plan))
+    }
+
+    /// The per-engine set-up [`Simulator::from_compiled`] and
+    /// [`Simulator::reset`] share: a fresh model per blackbox instance, the
+    /// strict-width check, and — for the levelized backend — register
+    /// files sized to the largest lowered program. Every fallible step
+    /// runs before `scratch` is touched, so a failed reset leaves the
+    /// engine as it was.
+    fn engine_models(
+        &self,
+        factory: &dyn BlackboxFactory,
+        config: &SimConfig,
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Box<dyn Blackbox + Send>>, SimError> {
+        let mut blackboxes = Vec::with_capacity(self.design.blackboxes.len());
+        for bb in &self.design.blackboxes {
+            let model = factory
+                .create(bb)
+                .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
+            blackboxes.push(model);
+        }
+        if config.strict_width {
+            check_connection_widths(&self.design)?;
+        }
+        if config.backend == Backend::Levelized {
+            scratch.size_registers(self.lv_narrow, self.lv_wide, self.max_width);
+        }
+        Ok(blackboxes)
     }
 }
 
@@ -510,29 +537,11 @@ impl Simulator {
         factory: &dyn BlackboxFactory,
         config: SimConfig,
     ) -> Result<Self, SimError> {
+        let mut scratch = EvalScratch::with_max_width(shared.max_width);
+        let blackboxes = shared.engine_models(factory, &config, &mut scratch)?;
         let design = &shared.design;
-        let mut blackboxes = Vec::with_capacity(design.blackboxes.len());
-        for bb in &design.blackboxes {
-            let model = factory
-                .create(bb)
-                .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
-            blackboxes.push(model);
-        }
-        if config.strict_width {
-            check_connection_widths(design)?;
-        }
         let state = SimState::new(design, config.init);
         let config_metrics = config.metrics;
-        let mut scratch = EvalScratch::with_max_width(shared.max_width);
-        match config.backend {
-            Backend::Tree => {}
-            Backend::Bytecode => {
-                scratch.size_registers(shared.bc_narrow, shared.bc_wide, shared.max_width);
-            }
-            Backend::Levelized => {
-                scratch.size_registers(shared.lv_narrow, shared.lv_wide, shared.max_width);
-            }
-        }
         let n_units = shared.compiled.n_units();
         let n_regions = shared.sched.regions.len();
         let n_sigs = design.table.len();
@@ -670,27 +679,8 @@ impl Simulator {
     ///
     /// Fails for unknown signals and width mismatches.
     pub fn poke(&mut self, name: &str, value: Bits) -> Result<(), SimError> {
-        let sig = self
-            .shared
-            .design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if value.width() != sig.width {
-            return Err(SimError::WidthMismatch {
-                signal: name.to_owned(),
-                expected: sig.width,
-                got: value.width(),
-            });
-        }
-        let id = self
-            .shared
-            .design
-            .sig_id(name)
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        self.apply_poke(id, &value);
-        Ok(())
+        let id = self.scalar_id(name)?;
+        self.poke_id(id, &value)
     }
 
     /// Interned [`poke`](Self::poke): same semantics, no name lookup. Pair
@@ -707,6 +697,14 @@ impl Simulator {
                 self.shared.design.table.name(id).to_owned(),
             ));
         }
+        self.check_width(id, value)?;
+        self.poke_with(id, |st| st.set_id(id, value));
+        Ok(())
+    }
+
+    /// A typed [`SimError::WidthMismatch`] unless `value` is exactly as
+    /// wide as the scalar signal `id`.
+    fn check_width(&self, id: SigId, value: &Bits) -> Result<(), SimError> {
         let expected = self.state.get_id(id).width();
         if value.width() != expected {
             return Err(SimError::WidthMismatch {
@@ -715,7 +713,6 @@ impl Simulator {
                 got: value.width(),
             });
         }
-        self.apply_poke(id, value);
         Ok(())
     }
 
@@ -723,20 +720,7 @@ impl Simulator {
     /// the signal's width and lands directly in the dense state slot —
     /// allocation-free at any width, with no name lookup.
     pub fn poke_id_u64(&mut self, id: SigId, value: u64) {
-        if !self.forces.is_empty() && self.forces.contains_key(&id) {
-            if let Some(c) = &mut self.counters {
-                c.force_hits += 1;
-            }
-            return;
-        }
-        if self.state.set_id_u64(id, value) {
-            if let Some(c) = &mut self.counters {
-                c.pokes += 1;
-            }
-            self.dirty_sigs.push(id);
-            self.dirty_units
-                .extend_from_slice(&self.shared.compiled.writers[id.index()]);
-        }
+        self.poke_with(id, |st| st.set_id_u64(id, value));
     }
 
     /// Resolves a batch of stimulus signals to interned IDs, validating
@@ -750,29 +734,36 @@ impl Simulator {
     pub fn stimulus_plan(&self, names: &[&str]) -> Result<StimulusPlan, SimError> {
         let ids = names
             .iter()
-            .map(|name| {
-                self.shared.design
-                    .signals
-                    .get(*name)
-                    .filter(|s| s.mem_depth.is_none())
-                    .and_then(|_| self.shared.design.sig_id(name))
-                    .ok_or_else(|| SimError::UnknownSignal((*name).to_owned()))
-            })
+            .map(|name| self.scalar_id(name))
             .collect::<Result<Vec<SigId>, SimError>>()?;
         Ok(StimulusPlan { ids })
     }
 
-    /// Interned poke: marks readers dirty, and — because a full pass would
-    /// re-derive a driven signal from its driver — also re-schedules any
-    /// unit that writes the signal. Forced signals swallow the write.
-    fn apply_poke(&mut self, id: SigId, value: &Bits) {
+    /// Resolves the name of a scalar (non-memory) signal to its ID.
+    fn scalar_id(&self, name: &str) -> Result<SigId, SimError> {
+        let design = &self.shared.design;
+        design
+            .signals
+            .get(name)
+            .filter(|s| s.mem_depth.is_none())
+            .and_then(|_| design.sig_id(name))
+            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
+    }
+
+    /// Interned poke: `set` writes the state slot and reports whether the
+    /// value changed. A change marks readers dirty, and — because a full
+    /// pass would re-derive a driven signal from its driver — also
+    /// re-schedules any unit that writes the signal. Forced signals
+    /// swallow the write.
+    #[inline]
+    fn poke_with(&mut self, id: SigId, set: impl FnOnce(&mut SimState) -> bool) {
         if !self.forces.is_empty() && self.forces.contains_key(&id) {
             if let Some(c) = &mut self.counters {
                 c.force_hits += 1;
             }
             return;
         }
-        if self.state.set_id(id, value) {
+        if set(&mut self.state) {
             if let Some(c) = &mut self.counters {
                 c.pokes += 1;
             }
@@ -791,27 +782,10 @@ impl Simulator {
     ///
     /// Fails for unknown signals and width mismatches.
     pub fn force(&mut self, name: &str, value: Bits) -> Result<(), SimError> {
-        let sig = self
-            .shared
-            .design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if value.width() != sig.width {
-            return Err(SimError::WidthMismatch {
-                signal: name.to_owned(),
-                expected: sig.width,
-                got: value.width(),
-            });
-        }
-        let id = self
-            .shared
-            .design
-            .sig_id(name)
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
+        let id = self.scalar_id(name)?;
+        self.check_width(id, &value)?;
         // Apply the pinned value first (while not yet forced), then pin.
-        self.apply_poke(id, &value);
+        self.poke_with(id, |st| st.set_id(id, &value));
         if self.forces.insert(id, value).is_none() {
             // Pinning a register-promoted signal demotes its fused region
             // to per-unit execution, whose stores honor the force map.
@@ -867,28 +841,8 @@ impl Simulator {
     ///
     /// Fails for unknown signals.
     pub fn poke_u64(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        let id = self
-            .shared
-            .design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .and_then(|_| self.shared.design.sig_id(name))
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if !self.forces.is_empty() && self.forces.contains_key(&id) {
-            if let Some(c) = &mut self.counters {
-                c.force_hits += 1;
-            }
-            return Ok(());
-        }
-        if self.state.set_id_u64(id, value) {
-            if let Some(c) = &mut self.counters {
-                c.pokes += 1;
-            }
-            self.dirty_sigs.push(id);
-            self.dirty_units
-                .extend_from_slice(&self.shared.compiled.writers[id.index()]);
-        }
+        let id = self.scalar_id(name)?;
+        self.poke_id_u64(id, value);
         Ok(())
     }
 
@@ -932,7 +886,7 @@ impl Simulator {
                 Backend::Tree => None,
                 // Levelized fallback units (and demoted regions, and the
                 // FullPass sweep) execute the per-unit programs.
-                _ => self.shared.comb_progs[u].as_ref(),
+                Backend::Levelized => self.shared.comb_progs[u].as_ref(),
             };
             let mut exec = CExec {
                 state: &mut self.state,
@@ -1025,8 +979,8 @@ impl Simulator {
             // FullPass sweeps per-unit regardless of backend, so its
             // differential semantics are untouched by region fusion.
             (SettleMode::FullPass, _) => self.settle_full(),
-            (SettleMode::EventDriven, Backend::Levelized) => self.settle_levelized(),
-            (SettleMode::EventDriven, _) => self.settle_event(),
+            (SettleMode::EventDriven, Backend::Levelized) => self.settle_worklist::<true>(),
+            (SettleMode::EventDriven, Backend::Tree) => self.settle_worklist::<false>(),
         }
     }
 
@@ -1072,14 +1026,34 @@ impl Simulator {
         }
     }
 
-    /// Dependency-driven settling: a work-list keyed by unit index (lowest
-    /// first, matching full-pass sweep order). A unit is (re)queued when a
-    /// signal in its read-set changes; total unit executions are bounded by
-    /// `max_comb_iters × n_units`, so combinational loops are still caught.
-    fn settle_event(&mut self) -> Result<(), SimError> {
-        let n_units = self.shared.compiled.n_units() as u32;
-        // The heap + `queued` flags act as an ordered set of unit indices:
-        // a unit sits in the heap at most once, and pops come lowest-first.
+    /// Dependency-driven settling over a worklist of *nodes*, popped lowest
+    /// first (matching full-pass sweep order). With `FUSED` (the levelized
+    /// backend, see [`crate::sched`]) nodes are the fused acyclic regions
+    /// first, then the fallback units: a dirty region executes
+    /// straight-line in topological rank order (one pass is its fixpoint,
+    /// so its own writes never requeue it), while cyclic SCCs, un-lowerable
+    /// units, and blackboxes pop one unit at a time. Without it (the Tree
+    /// reference) there are no regions: node = unit, and the readers are
+    /// the compiled per-signal tables. The choice is a const parameter, so
+    /// neither instance tests it per pop.
+    ///
+    /// A node is (re)queued when a signal in its read-set changes. The
+    /// budget counts *unit* executions (a region pop charges its member
+    /// count) and is bounded by `max_comb_iters × n_units`, so
+    /// combinational loops are still caught, and the deadline is probed
+    /// every 1024 unit executions.
+    fn settle_worklist<const FUSED: bool>(&mut self) -> Result<(), SimError> {
+        let shared = Arc::clone(&self.shared);
+        let sched = &shared.sched;
+        let n_units = shared.compiled.n_units() as u32;
+        let (n_regions, n_nodes, node_readers) = if FUSED {
+            let n_regions = sched.regions.len() as u32;
+            (n_regions, sched.n_nodes() as u32, &sched.node_readers)
+        } else {
+            (0, n_units, &shared.compiled.readers)
+        };
+        // The heap + `queued` flags act as an ordered set of node ids: a
+        // node sits in the heap at most once, and pops come lowest-first.
         // Both live on the simulator, so settling allocates nothing. The
         // reset guards against stale entries left by an aborted settle.
         self.settle_heap.clear();
@@ -1089,20 +1063,20 @@ impl Simulator {
         let mut pushes = 0u64;
         let was_full = self.force_full;
         if self.force_full {
-            for u in 0..n_units {
-                self.settle_heap.push(Reverse(u));
-                self.queued[u as usize] = true;
+            for nd in 0..n_nodes {
+                self.settle_heap.push(Reverse(nd));
+                self.queued[nd as usize] = true;
             }
-            pushes += u64::from(n_units);
+            pushes += u64::from(n_nodes);
         } else {
             let dirty = std::mem::take(&mut self.dirty_sigs);
             for &id in &dirty {
-                let readers = &self.shared.compiled.readers[id.index()];
+                let readers = &node_readers[id.index()];
                 pushes += readers.len() as u64;
-                for &u in readers {
-                    if !self.queued[u as usize] {
-                        self.queued[u as usize] = true;
-                        self.settle_heap.push(Reverse(u));
+                for &nd in readers {
+                    if !self.queued[nd as usize] {
+                        self.queued[nd as usize] = true;
+                        self.settle_heap.push(Reverse(nd));
                     }
                 }
             }
@@ -1110,9 +1084,10 @@ impl Simulator {
             pushes += self.dirty_units.len() as u64;
             let units = std::mem::take(&mut self.dirty_units);
             for &u in &units {
-                if !self.queued[u as usize] {
-                    self.queued[u as usize] = true;
-                    self.settle_heap.push(Reverse(u));
+                let nd = if FUSED { sched.unit_node[u as usize] } else { u };
+                if !self.queued[nd as usize] {
+                    self.queued[nd as usize] = true;
+                    self.settle_heap.push(Reverse(nd));
                 }
             }
             self.dirty_units = units;
@@ -1129,104 +1104,6 @@ impl Simulator {
         let tail_start = budget.saturating_sub(u64::from(n_units.max(1)));
         let mut unstable: BTreeSet<SigId> = BTreeSet::new();
         let mut runs = 0u64;
-        while let Some(Reverse(u)) = self.settle_heap.pop() {
-            self.queued[u as usize] = false;
-            runs += 1;
-            if runs > budget {
-                return Err(self.comb_loop_error(unstable));
-            }
-            // The disabled path pays the `is_some` load only; enabled, the
-            // clock is consulted once per 1024 unit executions.
-            if self.config.deadline.is_some() && runs & DEADLINE_CHECK_MASK == 0 {
-                self.check_deadline()?;
-            }
-            self.changed_scratch.clear();
-            self.run_unit(u)?;
-            if runs > tail_start {
-                unstable.extend(self.changed_scratch.iter().copied());
-            }
-            let changed = std::mem::take(&mut self.changed_scratch);
-            for &id in &changed {
-                let readers = &self.shared.compiled.readers[id.index()];
-                pushes += readers.len() as u64;
-                for &ru in readers {
-                    if !self.queued[ru as usize] {
-                        self.queued[ru as usize] = true;
-                        self.settle_heap.push(Reverse(ru));
-                    }
-                }
-            }
-            self.changed_scratch = changed;
-        }
-        if let Some(c) = &mut self.counters {
-            c.settles += 1;
-            c.units_executed += runs;
-            c.worklist_pushes += pushes;
-            if was_full {
-                c.full_settles += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Two-tier levelized settling (see [`crate::sched`]): the worklist
-    /// ranges over *nodes* — fused acyclic regions first, then fallback
-    /// units. A dirty region executes straight-line in topological rank
-    /// order (one pass is its fixpoint, so its own writes never requeue
-    /// it); cyclic SCCs, un-lowerable units, and blackboxes pop exactly
-    /// like [`settle_event`](Self::settle_event). The budget still counts
-    /// *unit* executions (a region pop charges its member count), so
-    /// `CombLoop` detection and the deadline cadence match the worklist
-    /// backends.
-    fn settle_levelized(&mut self) -> Result<(), SimError> {
-        let shared = Arc::clone(&self.shared);
-        let sched = &shared.sched;
-        let n_units = shared.compiled.n_units() as u32;
-        let n_regions = sched.regions.len() as u32;
-        let n_nodes = sched.n_nodes() as u32;
-        self.settle_heap.clear();
-        self.queued.fill(false);
-        let mut pushes = 0u64;
-        let was_full = self.force_full;
-        if self.force_full {
-            for nd in 0..n_nodes {
-                self.settle_heap.push(Reverse(nd));
-                self.queued[nd as usize] = true;
-            }
-            pushes += u64::from(n_nodes);
-        } else {
-            let dirty = std::mem::take(&mut self.dirty_sigs);
-            for &id in &dirty {
-                let readers = &sched.node_readers[id.index()];
-                pushes += readers.len() as u64;
-                for &nd in readers {
-                    if !self.queued[nd as usize] {
-                        self.queued[nd as usize] = true;
-                        self.settle_heap.push(Reverse(nd));
-                    }
-                }
-            }
-            self.dirty_sigs = dirty;
-            pushes += self.dirty_units.len() as u64;
-            let units = std::mem::take(&mut self.dirty_units);
-            for &u in &units {
-                let nd = sched.unit_node[u as usize];
-                if !self.queued[nd as usize] {
-                    self.queued[nd as usize] = true;
-                    self.settle_heap.push(Reverse(nd));
-                }
-            }
-            self.dirty_units = units;
-        }
-        self.dirty_sigs.clear();
-        self.dirty_units.clear();
-        self.force_full = false;
-
-        let budget = (self.config.max_comb_iters as u64)
-            .saturating_mul(u64::from(n_units.max(1)));
-        let tail_start = budget.saturating_sub(u64::from(n_units.max(1)));
-        let mut unstable: BTreeSet<SigId> = BTreeSet::new();
-        let mut runs = 0u64;
         let mut region_pops = 0u64;
         while let Some(Reverse(nd)) = self.settle_heap.pop() {
             self.queued[nd as usize] = false;
@@ -1240,11 +1117,11 @@ impl Simulator {
             if runs > budget {
                 return Err(self.comb_loop_error(unstable));
             }
-            // Same ~1024-unit deadline cadence as the worklist: a region
-            // pop advances `runs` by its member count, so probe whenever
-            // the count crosses a 1024 boundary.
+            // The disabled path pays the `is_some` load only; enabled, the
+            // clock is consulted whenever the run count crosses a 1024
+            // boundary (a region pop advances it by its member count).
             if self.config.deadline.is_some()
-                && (prev_runs >> 10) != (runs >> 10)
+                && (prev_runs & !DEADLINE_CHECK_MASK) != (runs & !DEADLINE_CHECK_MASK)
             {
                 self.check_deadline()?;
             }
@@ -1252,15 +1129,17 @@ impl Simulator {
             if is_region {
                 region_pops += 1;
                 self.run_region(nd as usize, sched)?;
-            } else {
+            } else if FUSED {
                 self.run_unit(sched.node_unit[(nd - n_regions) as usize])?;
+            } else {
+                self.run_unit(nd)?;
             }
             if runs > tail_start {
                 unstable.extend(self.changed_scratch.iter().copied());
             }
             let changed = std::mem::take(&mut self.changed_scratch);
             for &id in &changed {
-                let readers = &sched.node_readers[id.index()];
+                let readers = &node_readers[id.index()];
                 pushes += readers.len() as u64;
                 for &rn in readers {
                     // A region's pass is its fixpoint: its own outputs
@@ -1379,7 +1258,7 @@ impl Simulator {
             let body = &self.shared.compiled.procs[pi].body;
             let prog = match self.config.backend {
                 Backend::Tree => None,
-                _ => self.shared.proc_progs[pi].as_ref(),
+                Backend::Levelized => self.shared.proc_progs[pi].as_ref(),
             };
             let mut exec = CExec {
                 state: &mut self.state,
@@ -1560,30 +1439,8 @@ impl Simulator {
         config: SimConfig,
     ) -> Result<(), SimError> {
         let shared = Arc::clone(&self.shared);
-        let design = &shared.design;
-        let mut blackboxes = Vec::with_capacity(design.blackboxes.len());
-        for bb in &design.blackboxes {
-            let model = factory
-                .create(bb)
-                .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
-            blackboxes.push(model);
-        }
-        if config.strict_width {
-            check_connection_widths(design)?;
-        }
-        self.blackboxes = blackboxes;
-        self.state.reset(design, config.init);
-        match config.backend {
-            Backend::Tree => {}
-            Backend::Bytecode => {
-                self.scratch
-                    .size_registers(shared.bc_narrow, shared.bc_wide, shared.max_width);
-            }
-            Backend::Levelized => {
-                self.scratch
-                    .size_registers(shared.lv_narrow, shared.lv_wide, shared.max_width);
-            }
-        }
+        self.blackboxes = shared.engine_models(factory, &config, &mut self.scratch)?;
+        self.state.reset(&shared.design, config.init);
         self.counters = if config.metrics {
             Some(Box::default())
         } else {
@@ -1680,7 +1537,7 @@ fn check_connection_widths(design: &Design) -> Result<(), SimError> {
             let Some(&pw) = inst.port_widths.get(port) else {
                 continue;
             };
-            if let Some(ew) = design.expr_width(e) {
+            if let Ok(ew) = design.expr_width(e) {
                 if ew != pw {
                     return Err(SimError::WidthMismatch {
                         signal: format!("{}.{}", inst.name, port),
@@ -1722,9 +1579,3 @@ const _: () = {
     assert_send::<Checkpoint>();
 };
 
-#[allow(dead_code)]
-fn _assert_name_based_eval_stays_public(design: &Design, state: &SimState) {
-    // `eval_expr` remains part of the public API for tools that evaluate
-    // ad-hoc expressions outside the compiled hot path.
-    let _ = eval_expr(&hwdbg_rtl::Expr::number(0), design, state);
-}

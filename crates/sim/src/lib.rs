@@ -46,12 +46,12 @@ pub use engine::{
     DEADLINE_CHECK_MASK,
 };
 pub use fault::{run_with_faults, step_with_faults, Fault, FaultKind, FaultPlan};
-pub use eval::{effective_mem_addr, eval_expr, expr_width, is_signed};
+pub use eval::effective_mem_addr;
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;
 
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::BbInst;
+use hwdbg_dataflow::{BbInst, WidthError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -262,6 +262,19 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// The simulator's view of the design's width rules: an expression whose
+/// width cannot be computed at compile time fails with the matching typed
+/// error (`E0207`, `E0401`, `E0408`).
+impl From<WidthError> for SimError {
+    fn from(e: WidthError) -> Self {
+        match e {
+            WidthError::UnknownSignal(n) => SimError::UnknownSignal(n),
+            WidthError::NonConst => SimError::NonConstSelect,
+            WidthError::Reversed { msb, lsb } => SimError::ReversedRange { msb, lsb },
+        }
+    }
+}
 
 impl From<SimError> for hwdbg_diag::HwdbgError {
     fn from(e: SimError) -> Self {

@@ -213,7 +213,7 @@ impl SimState {
         }
     }
 
-    /// One memory element as a `u64` (low limb): the bytecode backend's
+    /// One memory element as a `u64` (low limb): the bytecode interpreter's
     /// narrow-element load. Out-of-range reads are zero, matching
     /// [`read_mem_slot_into`](SimState::read_mem_slot_into).
     #[inline]

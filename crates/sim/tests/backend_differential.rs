@@ -1,11 +1,15 @@
-//! Differential proof that the bytecode and levelized backends are
-//! observably identical to the tree-walking reference backend.
+//! Differential proof that the levelized production backend is observably
+//! identical to the tree-walking reference backend.
 //!
-//! All three [`Backend`]s execute the same compiled schedule; the
-//! bytecode path additionally lowers each unit body to a flat
-//! register-machine program at compile time, and the levelized path fuses
-//! acyclic comb regions into straight-line programs with promoted
-//! registers. Any divergence here isolates a lowering or scheduling bug:
+//! Both [`Backend`]s execute the same compiled schedule through the same
+//! settle loop; the levelized backend additionally lowers each unit body
+//! to a flat register-machine program at compile time and fuses acyclic
+//! comb regions into straight-line programs with promoted registers. Each
+//! test runs two levelized legs against Tree: the production worklist,
+//! and [`SettleMode::FullPass`], which runs every unit's per-unit program
+//! on every sweep (so the per-unit lowering is checked on its own, not
+//! only where fusion leaves a fallback unit). Any divergence here isolates
+//! a lowering or scheduling bug:
 //! a mis-masked narrow operation, a width table that disagrees with the
 //! tree-walker's dynamic widths, a branch that skipped a store, a
 //! wide/narrow boundary case at 63/64/65 bits, or a fused region whose
@@ -19,7 +23,7 @@
 
 use hwdbg_bits::SplitMix64;
 use hwdbg_ip::StdModels;
-use hwdbg_sim::{Backend, RegInit, SimConfig, Simulator};
+use hwdbg_sim::{Backend, RegInit, SettleMode, SimConfig, Simulator};
 use hwdbg_testbed::{buggy_design, workloads, BugId};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -39,17 +43,31 @@ impl Write for SharedBuf {
     }
 }
 
-fn config(backend: Backend, init: RegInit) -> SimConfig {
+/// A backend plus the settle mode it runs under.
+type Leg = (Backend, SettleMode);
+
+/// The reference every other leg is compared against.
+const TREE: Leg = (Backend::Tree, SettleMode::EventDriven);
+
+/// Every unit's per-unit bytecode program, every sweep.
+const PER_UNIT: Leg = (Backend::Levelized, SettleMode::FullPass);
+
+/// The legs compared against [`TREE`]: the per-unit programs and the
+/// production levelized worklist.
+const LEGS: [Leg; 2] = [PER_UNIT, (Backend::Levelized, SettleMode::EventDriven)];
+
+fn config((backend, settle_mode): Leg, init: RegInit) -> SimConfig {
     SimConfig {
         init,
         backend,
+        settle_mode,
         ..SimConfig::default()
     }
 }
 
-/// Runs one bug's workload under a backend, returning the VCD bytes, the
+/// Runs one bug's workload under a leg, returning the VCD bytes, the
 /// simulator for state inspection, and the workload verdict.
-fn run_backend(id: BugId, backend: Backend, init: RegInit) -> (Vec<u8>, Simulator, String) {
+fn run_backend(id: BugId, backend: Leg, init: RegInit) -> (Vec<u8>, Simulator, String) {
     let design = buggy_design(id).unwrap();
     let mut sim = Simulator::new(design, &StdModels, config(backend, init)).unwrap();
     let vcd = SharedBuf::default();
@@ -60,8 +78,8 @@ fn run_backend(id: BugId, backend: Backend, init: RegInit) -> (Vec<u8>, Simulato
 }
 
 fn assert_equivalent(id: BugId, init: RegInit) {
-    let (vcd_t, sim_t, out_t) = run_backend(id, Backend::Tree, init);
-    for backend in [Backend::Bytecode, Backend::Levelized] {
+    let (vcd_t, sim_t, out_t) = run_backend(id, TREE, init);
+    for backend in LEGS {
         let (vcd_b, sim_b, out_b) = run_backend(id, backend, init);
 
         assert_eq!(out_b, out_t, "{id}/{backend:?}: workload outcome diverged");
@@ -188,7 +206,7 @@ fn sweep_src(w: u32) -> String {
     s
 }
 
-fn run_sweep(w: u32, backend: Backend) -> (Vec<(String, String)>, Vec<String>) {
+fn run_sweep(w: u32, backend: Leg) -> (Vec<(String, String)>, Vec<String>) {
     let design = hwdbg_dataflow::elaborate(
         &hwdbg_rtl::parse(&sweep_src(w)).unwrap(),
         "m",
@@ -201,7 +219,7 @@ fn run_sweep(w: u32, backend: Backend) -> (Vec<(String, String)>, Vec<String>) {
         config(backend, RegInit::Random(0x5EED ^ u64::from(w))),
     )
     .unwrap();
-    if backend == Backend::Bytecode {
+    if backend == PER_UNIT {
         // The sweep exists to exercise the lowered programs: prove the
         // lowering engaged rather than silently falling back everywhere.
         let (lowered, total) = sim.compiled_design().lowering_coverage();
@@ -228,8 +246,8 @@ fn seeded_width_sweep_matches_tree() {
     // 63/64/65 inline-vs-spilled `Bits` crossover (and 31/32/33 for the
     // 2w-bit replication wire), and multi-limb widths.
     for w in [1u32, 2, 3, 7, 8, 31, 32, 33, 63, 64, 65, 96, 127, 128, 160] {
-        let tree = run_sweep(w, Backend::Tree);
-        for backend in [Backend::Bytecode, Backend::Levelized] {
+        let tree = run_sweep(w, TREE);
+        for backend in LEGS {
             let other = run_sweep(w, backend);
             assert_eq!(other.0, tree.0, "width {w}/{backend:?}: state diverged");
             assert_eq!(other.1, tree.1, "width {w}/{backend:?}: logs diverged");
@@ -240,7 +258,7 @@ fn seeded_width_sweep_matches_tree() {
 /// A design mixing a fused acyclic chain with a convergent cyclic SCC (a
 /// latch-shaped cross-coupled pair). The chain must form a region with a
 /// promoted internal signal, the SCC must stay on the worklist fallback,
-/// and all three backends must agree on every observable.
+/// and every leg must agree with Tree on every observable.
 #[test]
 fn mixed_region_and_scc_fallback_match() {
     let src = "module m(input clk, input [7:0] d, input en, output [7:0] q);
@@ -257,14 +275,14 @@ fn mixed_region_and_scc_fallback_match() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let run = |backend| {
+    let run = |backend: Leg| {
         let mut sim = Simulator::new(
             design.clone(),
             &hwdbg_sim::NoModels,
             config(backend, RegInit::Zero),
         )
         .unwrap();
-        if backend == Backend::Levelized {
+        if backend.0 == Backend::Levelized {
             // The latch pair (la/lb) must be excluded from fusion; the
             // d→c1→c2 chain and the q tail must be fused with at least
             // c1 promoted to a region register.
@@ -289,11 +307,11 @@ fn mixed_region_and_scc_fallback_match() {
             .collect();
         (trace, state)
     };
-    let tree = run(Backend::Tree);
+    let tree = run(TREE);
     // The latch must actually latch: q holds c2's value after en drops.
     assert_eq!(tree.0[0].1, (7 + 3) ^ 0x0F);
     assert_eq!(tree.0[2].1, (7 + 3) ^ 0x0F, "latch failed to hold while en=0");
-    for backend in [Backend::Bytecode, Backend::Levelized] {
+    for backend in LEGS {
         let other = run(backend);
         assert_eq!(other.0, tree.0, "{backend:?}: q trace diverged");
         assert_eq!(other.1, tree.1, "{backend:?}: state diverged");
@@ -301,10 +319,12 @@ fn mixed_region_and_scc_fallback_match() {
 }
 
 /// An oscillating combinational loop must fail settle with the same
-/// `CombLoop { unstable }` report — same signal names, same order —
-/// under all three backends: the SCC routes to the worklist fallback,
-/// whose budget and tail-collection semantics the levelized dispatcher
-/// shares.
+/// `CombLoop { unstable }` report — same signal names, same order — under
+/// both backends: the self-loop routes to the levelized worklist fallback
+/// (running its per-unit program), and both backends share one loop,
+/// budget, and tail-collection window. The full-pass sweep names what
+/// changed in its last sweep instead, so it must name the loop but may
+/// name its downstream readers too.
 #[test]
 fn comb_loop_reports_identically() {
     let src = "module m(input clk, input [3:0] d, output [3:0] q);
@@ -327,14 +347,21 @@ fn comb_loop_reports_identically() {
         sim.poke_u64("d", 5).unwrap();
         sim.settle().unwrap_err()
     };
-    let tree = run(Backend::Tree);
+    let tree = run(TREE);
     assert!(
         matches!(&tree, hwdbg_sim::SimError::CombLoop { unstable } if !unstable.is_empty()),
         "expected CombLoop, got {tree:?}"
     );
-    for backend in [Backend::Bytecode, Backend::Levelized] {
-        assert_eq!(run(backend), tree, "{backend:?}: CombLoop report diverged");
-    }
+    let levelized = run((Backend::Levelized, SettleMode::EventDriven));
+    assert_eq!(levelized, tree, "Levelized: CombLoop report diverged");
+    use hwdbg_sim::SimError::CombLoop;
+    let (CombLoop { unstable: tail }, CombLoop { unstable: sweep }) = (&tree, run(PER_UNIT)) else {
+        panic!("full-pass sweep must report CombLoop too");
+    };
+    assert!(
+        tail.iter().all(|name| sweep.contains(name)),
+        "full-pass CombLoop {sweep:?} must name the oscillating set {tail:?}"
+    );
 }
 
 /// Satellite regression: `$display("%d")` of a `reg signed` renders
@@ -369,17 +396,20 @@ fn signed_display_renders_negative_under_both_backends() {
             .map(|l| l.message.clone())
             .collect::<Vec<_>>()
     };
-    let bytecode = run(Backend::Bytecode);
+    let tree = run(TREE);
     assert_eq!(
-        bytecode,
+        tree,
         vec!["c=0 u=00", "c=-1 u=ff", "c=-2 u=fe"],
         "signed %d must render two's complement"
     );
-    assert_eq!(bytecode, run(Backend::Tree), "backends diverged");
+    for backend in LEGS {
+        assert_eq!(run(backend), tree, "{backend:?}: backends diverged");
+    }
 }
 
 /// Satellite regression: reversed constant part-select bounds are a typed
-/// `ReversedRange` error (E0408), not the catch-all `NonConstSelect`.
+/// `ReversedRange` error (E0408), not the catch-all `NonConstSelect` —
+/// from the design's width rules through the simulator's error mapping.
 #[test]
 fn reversed_range_is_typed_error() {
     let src = "module m(input clk, input [7:0] a, output [7:0] q);
@@ -396,7 +426,12 @@ fn reversed_range_is_typed_error() {
         Box::new(hwdbg_rtl::Expr::number(0)),
         Box::new(hwdbg_rtl::Expr::number(7)),
     );
-    let err = hwdbg_sim::expr_width(&expr, &design).unwrap_err();
+    let width_err = design.expr_width(&expr).unwrap_err();
+    assert_eq!(
+        width_err,
+        hwdbg_dataflow::WidthError::Reversed { msb: 0, lsb: 7 }
+    );
+    let err = hwdbg_sim::SimError::from(width_err);
     assert_eq!(
         err,
         hwdbg_sim::SimError::ReversedRange { msb: 0, lsb: 7 },

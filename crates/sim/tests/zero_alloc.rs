@@ -249,20 +249,28 @@ fn shared_compiled_design_steady_state_allocates_nothing() {
     );
 }
 
-/// Every execution backend, explicitly: the bytecode interpreter's
-/// register files (narrow `u64`s and pre-spilled wide `Bits`) are sized
-/// once at build time, its `$display` path is only reached when a log
-/// sink is attached, wide-register moves recycle the same heap buffers,
-/// and the levelized dispatcher's node heap and region programs are all
+/// Every execution backend, explicitly, plus the full-pass sweep that runs
+/// every unit's per-unit program: the bytecode interpreter's register
+/// files (narrow `u64`s and pre-spilled wide `Bits`) are sized once at
+/// build time, its `$display` path is only reached when a log sink is
+/// attached, wide-register moves recycle the same heap buffers, and the
+/// levelized dispatcher's node heap and region programs are all
 /// compile-time artifacts — so per-cycle allocations stay at zero under
 /// any backend. (The other tests in this file run the default backend;
 /// this one pins all of them down even if the default changes.)
 #[test]
 fn all_backends_steady_state_allocate_nothing() {
-    use hwdbg_sim::Backend;
-    for backend in [Backend::Tree, Backend::Bytecode, Backend::Levelized] {
+    use hwdbg_sim::{Backend, SettleMode};
+    for (backend, settle_mode) in [
+        (Backend::Tree, SettleMode::EventDriven),
+        (Backend::Levelized, SettleMode::FullPass),
+        (Backend::Levelized, SettleMode::EventDriven),
+    ] {
         let design = buggy_design(BugId::D2).unwrap();
-        let config = SimConfig::default().with_backend(backend);
+        let config = SimConfig {
+            settle_mode,
+            ..SimConfig::default().with_backend(backend)
+        };
         let mut sim = Simulator::new(design, &hwdbg_ip::StdModels, config).unwrap();
         sim.poke_u64("pix_in_valid", 1).unwrap();
         for i in 0..200u64 {
@@ -277,7 +285,7 @@ fn all_backends_steady_state_allocate_nothing() {
         let allocs = thread_allocs() - before;
         assert_eq!(
             allocs, 0,
-            "{backend:?} steady state allocated {allocs} times over 1000 cycles"
+            "{backend:?}/{settle_mode:?} steady state allocated {allocs} times over 1000 cycles"
         );
     }
 }
@@ -331,8 +339,10 @@ fn levelized_fused_region_settle_allocates_nothing() {
 }
 
 /// The bytecode spill path: a 192-bit mixed ALU (adds, xors, shifts, a
-/// mux, and a 384-bit replication) re-settled every cycle under the
-/// bytecode backend. Wide registers are pre-spilled at build time and
+/// mux, and a 384-bit replication) re-settled every cycle by the full-pass
+/// sweep, which runs each unit's own lowered program (nothing here is
+/// promoted, so fusion would add nothing). Wide registers are pre-spilled
+/// at build time and
 /// `std::mem::take`-cycled by the interpreter; `store_small` keeps their
 /// heap capacity, so not even the narrow-in-wide transitions allocate.
 #[test]
@@ -350,7 +360,10 @@ fn bytecode_wide_settle_allocates_nothing() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let config = SimConfig::default().with_backend(hwdbg_sim::Backend::Bytecode);
+    let config = SimConfig {
+        settle_mode: hwdbg_sim::SettleMode::FullPass,
+        ..SimConfig::default().with_backend(hwdbg_sim::Backend::Levelized)
+    };
     let mut sim = Simulator::new(design, &hwdbg_sim::NoModels, config).unwrap();
     let (lowered, total) = sim.compiled_design().lowering_coverage();
     assert_eq!(lowered, total, "wide ALU must lower fully");
