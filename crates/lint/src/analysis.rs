@@ -10,8 +10,8 @@
 
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{eval_const, CondLeaf, Design, SigKind};
-use hwdbg_rtl::{print_expr, BinaryOp, Dir, Expr, LValue, Span, Stmt, UnaryOp};
-use std::collections::{BTreeMap, BTreeSet};
+use hwdbg_rtl::{print_expr, BinaryOp, Expr, Stmt, UnaryOp};
+use std::collections::BTreeSet;
 
 /// One guard on the path from a process body to a statement.
 #[derive(Debug, Clone, Copy)]
@@ -222,22 +222,6 @@ pub fn conjunct_key(c: &Conjunct<'_>) -> String {
     format!("{sign}({})", print_expr(c.expr))
 }
 
-/// Names of reset-style top-level inputs (lowercase name contains `rst` or
-/// `reset`).
-pub fn reset_inputs(design: &Design) -> BTreeSet<String> {
-    design
-        .flat
-        .ports
-        .iter()
-        .filter(|p| p.dir == Dir::Input)
-        .filter(|p| {
-            let n = p.net.name.to_lowercase();
-            n.contains("rst") || n.contains("reset")
-        })
-        .map(|p| p.net.name.clone())
-        .collect()
-}
-
 /// True when the path's conjuncts include a positive bare test of a reset
 /// input — i.e. the statement is part of reset initialization.
 pub fn in_reset(guards: &[Guard<'_>], resets: &BTreeSet<String>) -> bool {
@@ -245,30 +229,6 @@ pub fn in_reset(guards: &[Guard<'_>], resets: &BTreeSet<String>) -> bool {
         .iter()
         .filter_map(ident_leaf)
         .any(|(n, positive)| positive && resets.contains(n))
-}
-
-/// Output-port names of the flat module. Clock-written outputs are
-/// classified [`SigKind::Reg`](hwdbg_dataflow::SigKind) in
-/// [`Design::signals`], so port direction must come from the module AST.
-pub fn output_ports(design: &Design) -> BTreeSet<String> {
-    design
-        .flat
-        .ports
-        .iter()
-        .filter(|p| p.dir == Dir::Output)
-        .map(|p| p.net.name.clone())
-        .collect()
-}
-
-/// Input-port names of the flat module.
-pub fn input_ports(design: &Design) -> BTreeSet<String> {
-    design
-        .flat
-        .ports
-        .iter()
-        .filter(|p| p.dir == Dir::Input)
-        .map(|p| p.net.name.clone())
-        .collect()
 }
 
 /// A registered valid/ready stream endpoint this design *produces*: the
@@ -287,12 +247,11 @@ pub struct StreamPair {
 const PAYLOAD_SUFFIXES: [&str; 6] = ["data", "last", "keep", "strb", "user", "id"];
 
 /// Finds every produced stream: a `*valid` register whose `*ready`
-/// counterpart is an input port, together with the registered payload
-/// signals sharing the prefix. Combinationally-driven valids (FIFO
+/// counterpart is one of the `inputs` ports, together with the registered
+/// payload signals sharing the prefix. Combinationally-driven valids (FIFO
 /// occupancy flags) are not producers in the stability sense and are
 /// excluded.
-pub fn stream_pairs(design: &Design) -> Vec<StreamPair> {
-    let inputs = input_ports(design);
+pub fn stream_pairs(design: &Design, inputs: &BTreeSet<String>) -> Vec<StreamPair> {
     let mut out = Vec::new();
     for (name, info) in &design.signals {
         if info.kind != SigKind::Reg || !name.ends_with("valid") {
@@ -367,25 +326,6 @@ pub fn cmp_bound(op: BinaryOp, k: u64, positive: bool) -> Option<u64> {
             _ => None,
         }
     }
-}
-
-/// Single-target continuous-assign drivers: `name -> (rhs, span)`. Used to
-/// expand one level of combinational aliasing (`full`, `count`, …) when
-/// interpreting guards.
-pub fn comb_aliases(design: &Design) -> BTreeMap<&str, (&Expr, Span)> {
-    let mut out = BTreeMap::new();
-    for c in &design.combs {
-        if let Stmt::Assign {
-            lhs: LValue::Id(n),
-            rhs,
-            span,
-            ..
-        } = &c.body
-        {
-            out.insert(n.as_str(), (rhs, *span));
-        }
-    }
-    out
 }
 
 /// Number of bits needed to represent `v` (at least 1).

@@ -12,23 +12,31 @@
 //! # Architecture
 //!
 //! - [`LintPass`] — one analysis: an `id`, the codes it may emit, and a
-//!   `run` over the design. Passes are pure: all state lives in the sink.
+//!   `run` over a [`LintCtx`]. Passes are pure: all state lives in the sink.
+//! - [`LintCtx`] — what one run's passes share, built once: the design, its
+//!   local [`PropGraph`](hwdbg_dataflow::PropGraph), the port/reset/alias
+//!   tables, and a per-signal index of the clocked processes that read and
+//!   write each register (plus its comb, port and blackbox readers), so
+//!   per-item passes look up instead of rescanning the design.
 //! - [`LintSink`] — collects findings, applying per-code severity levels
 //!   from a [`LintConfig`] (`Allow` drops, `Warn` keeps, `Deny` escalates
 //!   to [`Severity::Error`]).
 //! - [`registry`] — the built-in pass set, keyed to the study's Table 1
-//!   subclasses. [`run_all`] drives every pass under a
-//!   [`StageTimer`]/[`SimCounters`] pair so lint cost shows up in the same
-//!   observability surface as simulation stages.
+//!   subclasses. [`run_all`] builds the context, then drives every pass
+//!   under a [`StageTimer`]/[`SimCounters`] pair so lint cost shows up in
+//!   the same observability surface as simulation stages: exactly one
+//!   stage per registered pass, in registry order, named by its id.
 //!
 //! Passes share the guard-path machinery in [`analysis`]: a walker that
 //! visits every assignment with the `if`/`case` guard stack active at that
 //! point, plus conjunct flattening and constant-bound extraction.
 
 pub mod analysis;
+mod ctx;
 mod explain;
 mod passes;
 
+pub use ctx::LintCtx;
 pub use explain::{all_explanations, explain, LintExplanation};
 pub use passes::fsm::FsmLintPass;
 pub use passes::handshake::HandshakePass;
@@ -157,8 +165,9 @@ pub trait LintPass {
     fn id(&self) -> &'static str;
     /// The diagnostic codes this pass may emit.
     fn codes(&self) -> &'static [ErrorCode];
-    /// Runs the analysis, emitting findings into the sink.
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>);
+    /// Runs the analysis over the run's shared context, emitting findings
+    /// into the sink.
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>);
 }
 
 /// The built-in pass set, in execution order.
@@ -183,8 +192,23 @@ pub fn registry() -> Vec<Box<dyn LintPass>> {
     ]
 }
 
+/// The code a registered pass claims under the name `code`, in any letter
+/// case (`l0501` is `L0501`); `None` when no pass emits it.
+pub fn lint_code(code: &str) -> Option<ErrorCode> {
+    let code = code.to_ascii_uppercase();
+    registry()
+        .iter()
+        .flat_map(|p| p.codes())
+        .copied()
+        .find(|c| c.as_str() == code)
+}
+
 /// Runs every registered pass over `design`, timing each pass as a stage
 /// and counting passes/findings in `counters`.
+///
+/// The shared [`LintCtx`] is built once, before the first pass, and is not
+/// a stage of its own: `timer` gets exactly one stage per registered pass,
+/// in registry order, named by the pass id.
 ///
 /// Findings are sorted errors-first, then by source position.
 pub fn run_all(
@@ -193,10 +217,11 @@ pub fn run_all(
     timer: &mut StageTimer,
     counters: &mut SimCounters,
 ) -> Vec<HwdbgError> {
+    let cx = LintCtx::new(design);
     let mut all = Vec::new();
     for pass in registry() {
         let mut sink = LintSink::new(config);
-        timer.time(pass.id(), || pass.run(design, &mut sink));
+        timer.time(pass.id(), || pass.run(&cx, &mut sink));
         let (findings, emitted) = sink.into_parts();
         counters.lint_passes += 1;
         counters.lint_findings += emitted;

@@ -3,7 +3,7 @@
 //! encodings no one declared.
 
 use crate::analysis::{self, Guard};
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{Expr, Span, Stmt};
@@ -53,20 +53,31 @@ impl LintPass for FsmLintPass {
         ]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let resets = analysis::reset_inputs(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         for fsm in FsmMonitor::detect(design) {
             if fsm.width > 64 {
                 continue;
             }
             let state = fsm.signal.as_str();
+            // A state register is written by a clocked process, so it is
+            // always indexed.
+            let Some(uses) = cx.uses(state) else {
+                continue;
+            };
 
             // Every `case (state)` in the design: union of arm label
             // values, whether any has a default, and an anchoring span.
+            // Only a body that reads the register can dispatch on it.
             let mut arm_union: BTreeSet<u64> = BTreeSet::new();
             let mut has_default = false;
             let mut case_span: Option<Span> = None;
-            for body in proc_bodies(design) {
+            let readers = uses
+                .proc_readers
+                .iter()
+                .map(|&i| &design.procs[i].body)
+                .chain(uses.comb_readers.iter().map(|&i| &design.combs[i].body));
+            for body in readers {
                 scan_cases(design, body, state, fsm.width, &mut |labels, default, span| {
                     arm_union.extend(labels);
                     has_default |= default;
@@ -79,12 +90,13 @@ impl LintPass for FsmLintPass {
                 continue;
             };
 
-            // Every whole assignment to the state register.
+            // Every whole assignment to the state register, in the
+            // clocked processes that write it.
             let mut sites: Vec<Site> = Vec::new();
             let mut analyzable = true;
-            for proc in &design.procs {
+            for &i in &uses.proc_writers {
                 let mut guards = Vec::new();
-                analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+                analysis::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
                     let Stmt::Assign { lhs, rhs, .. } = stmt else {
                         return;
                     };
@@ -102,7 +114,7 @@ impl LintPass for FsmLintPass {
                     match analysis::const_value(rhs, design) {
                         Some(v) if v.width() <= 64 => sites.push(Site {
                             value: v.resize(fsm.width).to_u64(),
-                            in_reset: analysis::in_reset(guards, &resets),
+                            in_reset: analysis::in_reset(guards, &cx.reset_inputs),
                             arm: arm_ctx(guards, state, fsm.width, design),
                         }),
                         // A computed next-state (two-process style): too
@@ -187,14 +199,6 @@ fn state_name(states: &std::collections::BTreeMap<u64, String>, v: u64) -> Strin
         Some(n) => format!("`{n}` ({v})"),
         None => format!("{v}"),
     }
-}
-
-fn proc_bodies(design: &Design) -> impl Iterator<Item = &Stmt> {
-    design
-        .procs
-        .iter()
-        .map(|p| &p.body)
-        .chain(design.combs.iter().map(|c| &c.body))
 }
 
 /// Finds every `case` whose selector is exactly the state register and

@@ -3,7 +3,7 @@
 //! and the general mutual-wait cycle between ready/valid flags.
 
 use crate::analysis::{self, conjuncts, ident_leaf};
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
@@ -57,8 +57,9 @@ impl LintPass for HandshakePass {
         ]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let flags = collect_flags(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let flags = collect_flags(design, &cx.reset_inputs);
 
         // --- L0601: AXI VALID waiting for READY -------------------------
         for (name, flag) in &flags {
@@ -170,8 +171,7 @@ impl LintPass for HandshakePass {
 }
 
 /// Collects every one-bit register whose whole writes are all constants.
-fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
-    let resets = analysis::reset_inputs(design);
+fn collect_flags(design: &Design, resets: &BTreeSet<String>) -> BTreeMap<String, Flag> {
     let mut flags: BTreeMap<String, Flag> = BTreeMap::new();
     let mut disqualified: BTreeSet<String> = BTreeSet::new();
     for proc in &design.procs {
@@ -201,7 +201,7 @@ fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
                         flags.entry(name.to_owned()).or_insert(Flag { sites: Vec::new() }).sites.push(
                             ConstSite {
                                 value_is_one: !v.is_zero(),
-                                in_reset: analysis::in_reset(guards, &resets),
+                                in_reset: analysis::in_reset(guards, resets),
                                 span: *span,
                                 positive_deps,
                             },

@@ -6,9 +6,8 @@
 //! away because a re-init branch forgot one register.
 
 use crate::analysis::{self, conjunct_key, conjuncts, ident_leaf, Guard};
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,7 +39,8 @@ impl LintPass for DeadWritePass {
         &[ErrorCode::LintDeadWrite]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         for proc in &design.procs {
             // (signal, guard keys, span, rhs reads signal) in source order.
             let mut writes: Vec<(&str, BTreeSet<String>, Span, bool)> = Vec::new();
@@ -100,9 +100,10 @@ impl LintPass for LivenessPass {
         &[ErrorCode::LintNeverRead, ErrorCode::LintInputIgnored]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let inputs = analysis::input_ports(design);
-        let outputs = analysis::output_ports(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let inputs = &cx.input_ports;
+        let outputs = &cx.output_ports;
         let mut logic: BTreeSet<&str> = BTreeSet::new();
         let mut display: BTreeSet<&str> = BTreeSet::new();
         for body in design
@@ -144,7 +145,7 @@ impl LintPass for LivenessPass {
             }
             sink.emit(err);
         }
-        for name in &inputs {
+        for name in inputs {
             let name = name.as_str();
             if display.contains(name) && !logic.contains(name) {
                 let mut err = HwdbgError::warning(
@@ -253,9 +254,10 @@ impl LintPass for StickyFlagPass {
         &[ErrorCode::LintStickyFlag]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let outputs = analysis::output_ports(design);
-        let resets = analysis::reset_inputs(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let outputs = &cx.output_ports;
+        let resets = &cx.reset_inputs;
         struct FlagInfo {
             first_set: Option<Span>,
             reset_clears: bool,
@@ -295,7 +297,7 @@ impl LintPass for StickyFlagPass {
                         info.disqualified = true;
                         continue;
                     }
-                    let in_reset = analysis::in_reset(guards, &resets);
+                    let in_reset = analysis::in_reset(guards, resets);
                     match rhs_const.as_ref().map(|v| !v.is_zero()) {
                         Some(true) if !in_reset => {
                             info.first_set.get_or_insert(*span);
@@ -348,8 +350,9 @@ impl LintPass for ReinitPass {
         &[ErrorCode::LintIncompleteReinit]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let resets = analysis::reset_inputs(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let resets = &cx.reset_inputs;
         for proc in &design.procs {
             // Registers the reset branch initializes, with their values.
             let mut reset_map: BTreeMap<&str, Bits> = BTreeMap::new();
@@ -372,7 +375,7 @@ impl LintPass for ReinitPass {
                         self_ref.insert(name);
                     }
                 }
-                let in_reset = analysis::in_reset(guards, &resets);
+                let in_reset = analysis::in_reset(guards, resets);
                 let cval = analysis::const_value(rhs, design).and_then(|v| {
                     let w = match lhs {
                         LValue::Id(n) => design.signals.get(n)?.width,

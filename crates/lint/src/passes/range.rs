@@ -3,7 +3,7 @@
 //! bit-vector) and the out-of-range accesses are silently dropped.
 
 use crate::analysis::{self, conjuncts, wrap_bound};
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::{Design, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt};
@@ -33,7 +33,8 @@ impl LintPass for MemIndexPass {
         &[ErrorCode::LintMemIndexRange]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         let bounds = index_bounds(design);
 
         // Every identifier-indexed access in the design, plus constant

@@ -1,7 +1,7 @@
 //! Structural lints: combinational cycles and silent width truncation.
 
 use crate::analysis::{self, significant_bits};
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::{tarjan_scc, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
@@ -22,7 +22,8 @@ impl LintPass for CombLoopPass {
         &[ErrorCode::LintCombLoop]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         // Nodes: comb-written signals. Edge w -> r when w's driver reads r
         // and r is itself comb-written (registers and inputs break cycles).
         let mut comb_written: BTreeSet<&str> = BTreeSet::new();
@@ -92,7 +93,8 @@ impl LintPass for WidthTruncationPass {
         &[ErrorCode::LintWidthTruncation]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         let bodies = design
             .procs
             .iter()

@@ -6,7 +6,7 @@
 //! is last-writer-wins nondeterminism in synthesis.
 
 use crate::analysis;
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_expr, Stmt};
@@ -27,7 +27,8 @@ impl LintPass for IncompleteCasePass {
         &[ErrorCode::LintIncompleteCase]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         for comb in &design.combs {
             scan_cases(design, &comb.body, sink);
         }
@@ -123,26 +124,9 @@ impl LintPass for AssignStylePass {
         ]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let outputs = analysis::output_ports(design);
-        for (i, proc) in design.procs.iter().enumerate() {
-            // Signals visible outside process `i`.
-            let mut external: BTreeSet<&str> = BTreeSet::new();
-            for (j, other) in design.procs.iter().enumerate() {
-                if j != i {
-                    external.extend(other.reads.iter().map(String::as_str));
-                }
-            }
-            for comb in &design.combs {
-                external.extend(comb.reads.iter().map(String::as_str));
-            }
-            for bb in &design.blackboxes {
-                for conn in bb.in_conns.values() {
-                    external.extend(conn.idents());
-                }
-            }
-            external.extend(outputs.iter().map(String::as_str));
-
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        for proc in &design.procs {
             let mut guards = Vec::new();
             analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign {
@@ -155,7 +139,7 @@ impl LintPass for AssignStylePass {
                     return;
                 };
                 for target in lhs.target_names() {
-                    if external.contains(target) {
+                    if cx.read_outside(target, proc) {
                         sink.emit(
                             HwdbgError::warning(
                                 ErrorCode::LintBlockingInSeq,
@@ -215,7 +199,8 @@ impl LintPass for MultiProcWritePass {
         &[ErrorCode::LintMultiProcWrite]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         // Signal -> set of clocked-process indices that assign it. Walk the
         // bodies (rather than using `proc.writes`) so `for` loop variables,
         // which are process-local, never collide across processes.

@@ -23,14 +23,14 @@
 //!   meant to keep (subclass D6, bit truncation).
 
 use crate::analysis::{
-    self, cmp_bound, comb_aliases, conjuncts, const_value, in_reset, qualifies_advance,
-    reset_inputs, stream_pairs, Conjunct,
+    self, cmp_bound, conjuncts, const_value, in_reset, qualifies_advance, stream_pairs,
+    Conjunct,
 };
-use crate::{LintPass, LintSink};
+use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::{cond_leaves, DepKind, Design, PropGraph, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{BinaryOp, Dir, Expr, Span, Stmt};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// `L0603`: a stream payload register advances without its valid/ready
 /// qualification.
@@ -52,9 +52,10 @@ impl LintPass for QualificationPass {
         &[ErrorCode::LintUnqualifiedAdvance]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
-        for pair in stream_pairs(design) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let graph = &cx.graph;
+        for pair in stream_pairs(design, &cx.input_ports) {
             for payload in &pair.payloads {
                 let Some(pid) = graph.id(payload) else {
                     continue;
@@ -126,10 +127,11 @@ impl LintPass for BackpressurePass {
         &[ErrorCode::LintConstantBackpressure]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
-        let aliases = comb_aliases(design);
-        let inputs = analysis::input_ports(design);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let graph = &cx.graph;
+        let aliases = &cx.comb_aliases;
+        let inputs = &cx.input_ports;
         // Signals a blackbox instance drives: their fan-in is invisible to
         // the local graph, so anything they reach must be skipped.
         let bb_driven: BTreeSet<String> = design
@@ -270,11 +272,12 @@ impl LintPass for OccupancyPass {
         ]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
-        let aliases = comb_aliases(design);
-        let resets = reset_inputs(design);
-        let flag_updates = registered_flag_updates(design, &resets);
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
+        let graph = &cx.graph;
+        let aliases = &cx.comb_aliases;
+        let resets = &cx.reset_inputs;
+        let flag_updates = registered_flag_updates(design, resets);
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for proc in &design.procs {
             let mut guards = Vec::new();
@@ -282,17 +285,17 @@ impl LintPass for OccupancyPass {
                 let Stmt::Assign { lhs, span, .. } = stmt else {
                     return;
                 };
-                if in_reset(guards, &resets) {
+                if in_reset(guards, resets) {
                     return;
                 }
                 for dst in lhs.target_names() {
-                    let Some((mem, skid)) = entry_point(design, &graph, dst) else {
+                    let Some((mem, skid)) = entry_point(design, graph, dst) else {
                         continue;
                     };
                     let mut worst: Option<Admission> = None;
                     for c in &conjuncts(guards) {
                         let Some(adm) =
-                            classify_admission(design, &graph, &aliases, &flag_updates, c, *span)
+                            classify_admission(design, graph, aliases, &flag_updates, c, *span)
                         else {
                             continue;
                         };
@@ -386,7 +389,7 @@ fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(String,
 fn count_compare<'a>(
     design: &Design,
     graph: &PropGraph,
-    aliases: &BTreeMap<&str, (&'a Expr, Span)>,
+    aliases: &HashMap<&str, (&'a Expr, Span)>,
     expr: &'a Expr,
 ) -> Option<(Fifo, BinaryOp, u64)> {
     let expand = |e: &'a Expr| -> &'a Expr {
@@ -508,7 +511,7 @@ fn registered_flag_updates<'a>(
 fn classify_admission(
     design: &Design,
     graph: &PropGraph,
-    aliases: &BTreeMap<&str, (&Expr, Span)>,
+    aliases: &HashMap<&str, (&Expr, Span)>,
     flags: &BTreeMap<&str, (&Expr, Span)>,
     c: &Conjunct<'_>,
     site_span: Span,
@@ -562,7 +565,8 @@ impl LintPass for PrecisionPass {
         &[ErrorCode::LintTruncatedShift]
     }
 
-    fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+    fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
+        let design = cx.design();
         let bodies = design
             .procs
             .iter()

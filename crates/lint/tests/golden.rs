@@ -4,7 +4,7 @@
 
 use hwdbg_dataflow::{Design, NoBlackboxes};
 use hwdbg_diag::HwdbgError;
-use hwdbg_lint::{Level, LintConfig, LintSink, LintPass};
+use hwdbg_lint::{Level, LintConfig, LintCtx, LintSink, LintPass};
 use hwdbg_obs::{SimCounters, StageTimer};
 
 fn design(src: &str, top: &str) -> Design {
@@ -565,11 +565,11 @@ fn sink_is_reexported_for_custom_passes() {
         fn codes(&self) -> &'static [hwdbg_diag::ErrorCode] {
             &[]
         }
-        fn run(&self, _: &Design, _: &mut LintSink<'_>) {}
+        fn run(&self, _: &LintCtx<'_>, _: &mut LintSink<'_>) {}
     }
     let d = design("module t(input clk, output reg y); always @(posedge clk) y <= 1'b1; endmodule\n", "t");
     let cfg = LintConfig::new();
     let mut sink = LintSink::new(&cfg);
-    Noop.run(&d, &mut sink);
+    Noop.run(&LintCtx::new(&d), &mut sink);
     assert!(sink.findings().is_empty());
 }

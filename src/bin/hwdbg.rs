@@ -587,9 +587,10 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
 /// design and render every finding against its source. The target is
 /// either a Verilog file or a testbed bug id (`d1`, `c3`, ...).
 ///
-/// `--deny`/`--allow`/`--warn` take comma-separated L-codes and override
-/// the built-in levels; any deny-level finding makes the command exit
-/// nonzero, so `--deny L0501` turns a lint into a CI gate.
+/// `--deny`/`--allow`/`--warn` take comma-separated L-codes, in any letter
+/// case, and override the built-in levels; a code no pass emits is an
+/// error. Any deny-level finding makes the command exit nonzero, so
+/// `--deny L0501` turns a lint into a CI gate.
 fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
     let json = args.iter().any(|a| a == "--json");
     let filtered: Vec<String> = args
@@ -632,7 +633,10 @@ fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
     ] {
         if let Some(list) = opts.get(flag) {
             for code in list.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-                cfg.set(code, level);
+                let Some(known) = hwdbg::lint::lint_code(code) else {
+                    return Err(format!("unknown lint code `{code}`").into());
+                };
+                cfg.set(known.as_str(), level);
             }
         }
     }

@@ -71,3 +71,28 @@ fn sim_accepts_only_tree_and_levelized_backends() {
         "{stderr}"
     );
 }
+
+/// Lint codes on `--allow/--warn/--deny` match in any letter case: D2 fires
+/// L0501, so denying it as `l0501` makes the command fail.
+#[test]
+fn lint_level_flags_accept_lowercase_codes() {
+    let out = hwdbg(&["lint", "d2", "--deny", "l0501"]);
+    assert!(
+        !out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("L0501"), "{stdout}");
+}
+
+/// A level flag naming a code no pass emits is an error, not a silent no-op.
+#[test]
+fn lint_level_flags_reject_unknown_codes() {
+    for list in ["L9999", "l0101,L9999"] {
+        let out = hwdbg(&["lint", "d2", "--deny", list]);
+        assert_eq!(out.status.code(), Some(1), "--deny {list}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown lint code `L9999`"), "{stderr}");
+    }
+}
