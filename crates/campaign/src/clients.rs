@@ -23,14 +23,6 @@ pub const MATRIX_SEED: u64 = 0xC0FFEE;
 /// The legacy fault-matrix run length, in cycles.
 pub const MATRIX_CYCLES: u64 = 40;
 
-fn clock_of(design: &hwdbg_dataflow::Design) -> String {
-    design
-        .clocks()
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "clk".into())
-}
-
 /// Builds the full fault-injection matrix: every testbed bug × every
 /// fault class, 40 faulted cycles each, zero-init. One compiled design
 /// per bug shared across its four class jobs.
@@ -42,7 +34,9 @@ pub fn fault_matrix() -> Result<Campaign, CampaignError> {
     let mut jobs = Vec::with_capacity(BugId::ALL.len() * faults::FAULT_CLASSES.len());
     for id in BugId::ALL {
         let design = buggy_design(id).map_err(|e| CampaignError::Design(format!("{id}: {e}")))?;
-        let clock = clock_of(&design);
+        let clock = design
+            .primary_clock()
+            .ok_or_else(|| CampaignError::Design(format!("{id}: design has no clock")))?;
         let plans = faults::all_plans(&design, MATRIX_SEED);
         let shared = Arc::new(CompiledDesign::new(design)?);
         for (class, plan) in plans {

@@ -37,7 +37,7 @@ pub mod journal;
 
 pub use job::{Campaign, Drive, Job, ModelSet, RunOptions, Stim, StimValue, Verdict};
 pub use report::{CampaignReport, JobRecord};
-pub use spec::{CampaignSpec, DesignRef, FaultRef, Mode, SeedSpec};
+pub use spec::{CampaignSpec, FaultRef, Mode, SeedSpec};
 
 use hwdbg_sim::SimError;
 use std::fmt;

@@ -8,7 +8,8 @@
 //! design rtl/fifo.v top fifo   # RTL file (free-run drive); top defaults
 //!                              # to the file's last module
 //! mode run                     # workload | run (default per design kind)
-//! clock clk                    # free-run clock (default: design's clock)
+//! clock clk                    # free-run clock (default: the design's
+//!                              # primary clock, `Design::primary_clock`)
 //! cycles 40                    # free-run length (default 100)
 //! seeds zero 1 2 0xC0FFEE      # RegInit axis: zero-init or random seeds
 //! seeds 1..8                   # inclusive range sweep
@@ -26,25 +27,10 @@
 use crate::clients::MATRIX_SEED;
 use crate::job::{Campaign, Drive, Job, ModelSet, Stim, StimValue};
 use crate::CampaignError;
-use hwdbg_dataflow::{elaborate, Design};
-use hwdbg_ip::StdIpLib;
+use hwdbg_obs::StageTimer;
 use hwdbg_sim::{CompiledDesign, FaultPlan, RegInit};
-use hwdbg_testbed::{buggy_design, faults, BugId};
+use hwdbg_testbed::{faults, Target};
 use std::sync::Arc;
-
-/// A design the spec names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DesignRef {
-    /// A testbed bug.
-    Bug(BugId),
-    /// An RTL file, with an optional top module override.
-    File {
-        /// Path to the Verilog source.
-        path: String,
-        /// Top module; defaults to the file's last module.
-        top: Option<String>,
-    },
-}
 
 /// How jobs drive their simulators (see [`Drive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +74,7 @@ pub struct CampaignSpec {
     /// Report name.
     pub name: String,
     /// The design axis.
-    pub designs: Vec<DesignRef>,
+    pub designs: Vec<Target>,
     /// Drive mode.
     pub mode: Mode,
     /// Free-run clock override.
@@ -150,19 +136,12 @@ impl CampaignSpec {
                     let Some(target) = toks.next() else {
                         return Err(bad("missing design (bug ID or .v path)"));
                     };
-                    if let Ok(id) = target.parse::<BugId>() {
-                        spec.designs.push(DesignRef::Bug(id));
-                    } else {
-                        let top = match (toks.next(), toks.next()) {
-                            (None, _) => None,
-                            (Some("top"), Some(t)) => Some(t.to_owned()),
-                            _ => return Err(bad("expected `design <path> [top <module>]`")),
-                        };
-                        spec.designs.push(DesignRef::File {
-                            path: target.to_owned(),
-                            top,
-                        });
-                    }
+                    let top = match (toks.next(), toks.next()) {
+                        (None, _) => None,
+                        (Some("top"), Some(t)) => Some(t),
+                        _ => return Err(bad("expected `design <path> [top <module>]`")),
+                    };
+                    spec.designs.push(Target::new(target, top));
                 }
                 "mode" => {
                     spec.mode = match rest {
@@ -256,22 +235,41 @@ impl CampaignSpec {
         } else {
             self.faults.clone()
         };
-        for dref in &self.designs {
-            let (label, design, bug) = load_design(dref)?;
-            let workload = match (self.mode, bug) {
-                (Mode::Workload, Some(_)) | (Mode::Auto, Some(_)) => true,
+        for target in &self.designs {
+            let loaded = target
+                .load(&mut StageTimer::new())
+                .map_err(|e| CampaignError::Design(e.to_string()))?;
+            let (design, bug) = (loaded.design, loaded.bug);
+            let label = match target {
+                Target::Bug(id) => id.to_string(),
+                Target::File { path, .. } => std::path::Path::new(path)
+                    .file_stem()
+                    .and_then(|s| s.to_str())
+                    .unwrap_or(path.as_str())
+                    .to_owned(),
+            };
+            let drive = match (self.mode, bug) {
+                (Mode::Workload | Mode::Auto, Some(id)) => Drive::Workload(id),
                 (Mode::Workload, None) => {
                     return Err(CampaignError::Spec(format!(
                         "design `{label}` is a plain RTL file; workload mode needs a bug ID"
                     )));
                 }
-                (Mode::Run, _) | (Mode::Auto, None) => false,
+                (Mode::Run, _) | (Mode::Auto, None) => Drive::FreeRun {
+                    clock: self
+                        .clock
+                        .clone()
+                        .or_else(|| design.primary_clock())
+                        .ok_or_else(|| {
+                            CampaignError::Spec(format!(
+                                "design `{label}` has no clock to free-run; name one with `clock`"
+                            ))
+                        })?,
+                    cycles: self.cycles,
+                    stim: self.stim.clone(),
+                },
             };
-            let clock = self
-                .clock
-                .clone()
-                .or_else(|| design.clocks().into_iter().next())
-                .unwrap_or_else(|| "clk".into());
+            let workload = matches!(drive, Drive::Workload(_));
             // Resolve the fault axis against this design.
             let mut plans: Vec<(String, Option<FaultPlan>)> = Vec::new();
             for fref in &faults {
@@ -306,19 +304,6 @@ impl CampaignSpec {
                         SeedSpec::Zero => ("zero".to_owned(), RegInit::Zero),
                         SeedSpec::Random(s) => (s.to_string(), RegInit::Random(*s)),
                     };
-                    let drive = if workload {
-                        // `workload` is only true when `bug` is `Some`.
-                        match bug {
-                            Some(id) => Drive::Workload(id),
-                            None => unreachable!("workload mode without a bug id"),
-                        }
-                    } else {
-                        Drive::FreeRun {
-                            clock: clock.clone(),
-                            cycles: self.cycles,
-                            stim: self.stim.clone(),
-                        }
-                    };
                     jobs.push(Job {
                         design: label.clone(),
                         fault: fault_label.clone(),
@@ -326,7 +311,7 @@ impl CampaignSpec {
                         shared: Arc::clone(&shared),
                         init,
                         plan: plan.clone(),
-                        drive,
+                        drive: drive.clone(),
                         models: ModelSet::std(),
                     });
                 }
@@ -336,42 +321,6 @@ impl CampaignSpec {
             name: self.name.clone(),
             jobs,
         })
-    }
-}
-
-/// Resolves a [`DesignRef`] to (report label, elaborated design, bug id).
-fn load_design(dref: &DesignRef) -> Result<(String, Design, Option<BugId>), CampaignError> {
-    match dref {
-        DesignRef::Bug(id) => {
-            let design = buggy_design(*id)
-                .map_err(|e| CampaignError::Design(format!("{id}: {e}")))?;
-            Ok((id.to_string(), design, Some(*id)))
-        }
-        DesignRef::File { path, top } => {
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| CampaignError::Design(format!("{path}: {e}")))?;
-            let file = hwdbg_rtl::parse(&src)
-                .map_err(|e| CampaignError::Design(format!("{path}: {e}")))?;
-            let top = match top {
-                Some(t) => t.clone(),
-                None => file
-                    .modules
-                    .last()
-                    .ok_or_else(|| {
-                        CampaignError::Design(format!("{path}: file contains no modules"))
-                    })?
-                    .name
-                    .clone(),
-            };
-            let design = elaborate(&file, &top, &StdIpLib::new())
-                .map_err(|e| CampaignError::Design(format!("{path}: {e}")))?;
-            let label = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or(path.as_str())
-                .to_owned();
-            Ok((label, design, None))
-        }
     }
 }
 
@@ -391,7 +340,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.name, "demo");
-        assert_eq!(spec.designs, vec![DesignRef::Bug(BugId::D2)]);
+        assert_eq!(spec.designs, vec![Target::Bug(hwdbg_testbed::BugId::D2)]);
         assert_eq!(
             spec.seeds,
             vec![
@@ -436,6 +385,32 @@ mod tests {
                 ("D2".into(), "none".into(), "zero".into()),
                 ("D2".into(), "none".into(), "7".into()),
             ]
+        );
+    }
+
+    /// The free-run clock is the design's primary clock, never the
+    /// asynchronous reset sharing its sensitivity list (which sorts first
+    /// among `Design::clocks`).
+    #[test]
+    fn free_run_clocks_the_primary_clock_not_an_async_reset() {
+        let path = std::env::temp_dir().join(format!("spec_areset_{}.v", std::process::id()));
+        std::fs::write(
+            &path,
+            "module x(input clock, input areset, output reg [3:0] q);
+               always @(posedge clock or posedge areset)
+                 if (areset) q <= 4'd0; else q <= q + 4'd1;
+             endmodule",
+        )
+        .unwrap();
+        let spec = format!("design {}\nmode run\n", path.display());
+        let campaign = CampaignSpec::parse(&spec).unwrap().build();
+        std::fs::remove_file(&path).unwrap();
+        let campaign = campaign.unwrap();
+        assert_eq!(campaign.jobs.len(), 1);
+        assert!(
+            matches!(&campaign.jobs[0].drive, Drive::FreeRun { clock, .. } if clock == "clock"),
+            "{:?}",
+            campaign.jobs[0].drive
         );
     }
 }

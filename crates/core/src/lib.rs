@@ -61,6 +61,8 @@ pub use signalcat::SignalCat;
 pub use statmon::StatisticsMonitor;
 
 use hwdbg_dataflow::Design;
+use hwdbg_ip::{StdIpLib, StdModels};
+use hwdbg_sim::{SimConfig, SimError, Simulator};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -121,24 +123,34 @@ impl From<ToolError> for hwdbg_diag::HwdbgError {
 }
 
 /// Maps every clocked register to the clock that writes it, and returns
-/// the design's primary clock (the one driving the most registers).
+/// the design's primary clock ([`Design::primary_clock`]).
 pub fn clock_map(design: &Design) -> (BTreeMap<String, String>, Option<String>) {
     let mut map = BTreeMap::new();
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for p in &design.procs {
-        let Some(edge) = p.edges.iter().find(|e| e.posedge) else {
-            continue;
-        };
-        for w in &p.writes {
-            map.insert(w.clone(), edge.signal.clone());
-            *counts.entry(edge.signal.clone()).or_insert(0) += 1;
+        if let Some(edge) = p.edges.iter().find(|e| e.posedge) {
+            for w in &p.writes {
+                map.insert(w.clone(), edge.signal.clone());
+            }
         }
     }
-    let primary = counts
-        .into_iter()
-        .max_by_key(|(_, c)| *c)
-        .map(|(clk, _)| clk);
-    (map, primary)
+    (map, design.primary_clock())
+}
+
+/// Re-simulates an instrumented module — re-elaborate against the
+/// standard IP library, compile, run `drive` — the step every tool takes
+/// between `instrument` and `observe`.
+///
+/// # Errors
+///
+/// The typed error of the step that failed.
+pub fn rerun(
+    module: &hwdbg_rtl::Module,
+    drive: impl FnOnce(&mut Simulator) -> Result<(), SimError>,
+) -> Result<Simulator, hwdbg_diag::HwdbgError> {
+    let design = hwdbg_dataflow::resolve(module.clone(), &StdIpLib::new())?;
+    let mut sim = Simulator::new(design, &StdModels, SimConfig::default())?;
+    drive(&mut sim)?;
+    Ok(sim)
 }
 
 /// Counts the lines of Verilog a set of generated items prints to —

@@ -313,6 +313,25 @@ impl Design {
         }
         out
     }
+
+    /// The clock a run of this design drives when none is named: the
+    /// signal whose rising edge writes the most registers (a process
+    /// counts its first `posedge` edge, so the `areset` of `@(posedge clk
+    /// or posedge areset)` is never picked), else the first of
+    /// [`Design::clocks`]. `None` for a design with no edge at all.
+    pub fn primary_clock(&self) -> Option<String> {
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for p in &self.procs {
+            if let Some(edge) = p.edges.iter().find(|e| e.posedge) {
+                *counts.entry(&edge.signal).or_insert(0) += p.writes.len();
+            }
+        }
+        counts
+            .into_iter()
+            .max_by_key(|(_, c)| *c)
+            .map(|(clk, _)| clk.to_owned())
+            .or_else(|| self.clocks().into_iter().next())
+    }
 }
 
 /// Flattens and resolves `top` in one step.
@@ -942,6 +961,21 @@ mod tests {
         assert_eq!(d.combs.len(), 2);
         assert_eq!(d.procs.len(), 1);
         assert_eq!(d.clocks().len(), 1);
+    }
+
+    #[test]
+    fn primary_clock_skips_async_resets() {
+        let d = design(
+            "module m(input clock, input areset, output reg q);
+                always @(posedge clock or posedge areset)
+                  if (areset) q <= 1'b0; else q <= ~q;
+             endmodule",
+            "m",
+        );
+        assert_eq!(d.clocks().into_iter().next().as_deref(), Some("areset"));
+        assert_eq!(d.primary_clock().as_deref(), Some("clock"));
+        let comb = design("module m(input a, output w); assign w = ~a; endmodule", "m");
+        assert_eq!(comb.primary_clock(), None);
     }
 
     #[test]

@@ -24,10 +24,14 @@ pub mod faults;
 pub mod lint_expect;
 pub mod snippets;
 pub mod study;
+mod target;
 pub mod workloads;
 
+pub use target::{LoadError, Loaded, Target};
+
 use hwdbg_dataflow::Design;
-use hwdbg_ip::{StdIpLib, StdModels};
+use hwdbg_ip::StdModels;
+use hwdbg_obs::StageTimer;
 use hwdbg_sim::{SimConfig, SimError, Simulator};
 use std::fmt;
 
@@ -302,9 +306,7 @@ pub use meta::metadata;
 ///
 /// Propagates parse/elaboration errors (a testbed regression if they occur).
 pub fn buggy_design(id: BugId) -> Result<Design, Box<dyn std::error::Error>> {
-    let m = metadata(id);
-    let file = hwdbg_rtl::parse(m.source)?;
-    Ok(hwdbg_dataflow::elaborate(&file, m.top, &StdIpLib::new())?)
+    Ok(Target::Bug(id).load(&mut StageTimer::new())?.design)
 }
 
 /// Elaborates the fixed design of a bug.
@@ -314,8 +316,8 @@ pub fn buggy_design(id: BugId) -> Result<Design, Box<dyn std::error::Error>> {
 /// Propagates parse/elaboration errors.
 pub fn fixed_design(id: BugId) -> Result<Design, Box<dyn std::error::Error>> {
     let m = metadata(id);
-    let file = hwdbg_rtl::parse(&m.fixed_source())?;
-    Ok(hwdbg_dataflow::elaborate(&file, m.top, &StdIpLib::new())?)
+    let top = Some(m.top.to_owned());
+    Ok(target::elaborate_source(&m.fixed_source(), top, &mut StageTimer::new())?)
 }
 
 /// Builds a simulator for any elaborated design with the standard IP

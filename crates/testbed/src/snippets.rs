@@ -8,8 +8,7 @@
 //! paper gives one, the fix.
 
 use crate::{simulator, Subclass};
-use hwdbg_dataflow::elaborate;
-use hwdbg_ip::StdIpLib;
+use hwdbg_obs::StageTimer;
 use hwdbg_sim::{SimError, Simulator};
 
 /// A runnable snippet: the buggy code from the paper plus its fix.
@@ -312,14 +311,7 @@ pub fn all() -> Vec<Snippet> {
 ///
 /// Propagates parse/elaboration/simulation construction errors.
 pub fn snippet_sim(src: &str) -> Result<Simulator, Box<dyn std::error::Error>> {
-    let file = hwdbg_rtl::parse(src)?;
-    let top = file
-        .modules
-        .last()
-        .ok_or("empty snippet")?
-        .name
-        .clone();
-    let design = elaborate(&file, &top, &StdIpLib::new())?;
+    let design = crate::target::elaborate_source(src, None, &mut StageTimer::new())?;
     Ok(simulator(design)?)
 }
 

@@ -9,14 +9,14 @@
 //!
 //! Run with `cargo run --example debug_grayscale`.
 
-use hwdbg::dataflow::{resolve, PropGraph};
+use hwdbg::dataflow::PropGraph;
 use hwdbg::ip::{StdIpLib, StdModels};
 use hwdbg::rtl::parse_expr;
 use hwdbg::sim::{SimConfig, Simulator};
 use hwdbg::testbed::{buggy_design, metadata, workloads, BugId, Outcome};
 use hwdbg::tools::losscheck::LossCheckConfig;
 use hwdbg::tools::statmon::Event;
-use hwdbg::tools::{FsmMonitor, LossCheck, StatisticsMonitor};
+use hwdbg::tools::{rerun, FsmMonitor, LossCheck, StatisticsMonitor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = StdIpLib::new();
@@ -37,9 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fsm_info.fsms.iter().map(|f| f.signal.clone()).collect::<Vec<_>>(),
         fsm_info.generated_lines
     );
-    let d2 = resolve(fsm_info.module.clone(), &lib)?;
-    let mut traced = Simulator::new(d2, &StdModels, SimConfig::default())?;
-    let _ = workloads::run(BugId::D2, &mut traced)?;
+    let traced = rerun(&fsm_info.module, |s| workloads::run(BugId::D2, s).map(drop))?;
     let transitions = FsmMonitor::trace(&fsm_info, &traced);
     let last_rd = transitions.iter().rfind(|t| t.signal == "rd_state");
     let last_wr = transitions.iter().rfind(|t| t.signal == "wr_state");
@@ -56,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Event::new("pixels_out", parse_expr("pix_out_valid")?),
     ];
     let stat_info = StatisticsMonitor::instrument(&design, &events, None)?;
-    let d3 = resolve(stat_info.module.clone(), &lib)?;
-    let mut counted = Simulator::new(d3, &StdModels, SimConfig::default())?;
-    let _ = workloads::run(BugId::D2, &mut counted)?;
+    let counted = rerun(&stat_info.module, |s| {
+        workloads::run(BugId::D2, s).map(drop)
+    })?;
     let counts = StatisticsMonitor::counts(&stat_info, &counted);
     println!(
         "[stat-monitor] pixels in = {}, pixels out = {} -> data loss inside the accelerator\n",
@@ -80,12 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "[losscheck] tracking {:?} along the {} -> {} path ({} lines generated)",
         lc.tracked, cfg.source, cfg.sink, lc.generated_lines
     );
-    let d4 = resolve(lc.module.clone(), &lib)?;
-    let mut buggy = Simulator::new(d4.clone(), &StdModels, SimConfig::default())?;
-    let _ = workloads::run(BugId::D2, &mut buggy)?;
+    let buggy = rerun(&lc.module, |s| workloads::run(BugId::D2, s).map(drop))?;
     let raw = LossCheck::reports(buggy.logs());
-    let mut ground = Simulator::new(d4, &StdModels, SimConfig::default())?;
-    let _ = workloads::run_ground_truth(BugId::D2, &mut ground)?;
+    let ground = rerun(&lc.module, |s| {
+        workloads::run_ground_truth(BugId::D2, s).map(drop)
+    })?;
     let filtered = LossCheck::filter(&raw, &LossCheck::reports(ground.logs()));
     println!("[losscheck] raw reports: {raw:?}");
     println!("[losscheck] after ground-truth filtering: {filtered:?}");

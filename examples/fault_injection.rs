@@ -7,13 +7,11 @@
 //!
 //! Run with `cargo run --example fault_injection`.
 
-use hwdbg::dataflow::resolve;
-use hwdbg::ip::{StdIpLib, StdModels};
-use hwdbg::sim::{step_with_faults, FaultPlan, SimConfig, SimError, Simulator};
+use hwdbg::sim::{step_with_faults, FaultPlan, SimError, Simulator};
 use hwdbg::testbed::faults::all_plans;
 use hwdbg::testbed::{buggy_design, BugId};
 use hwdbg::tools::signalcat::SignalCatConfig;
-use hwdbg::tools::{FsmMonitor, SignalCat};
+use hwdbg::tools::{rerun, FsmMonitor, SignalCat};
 
 /// Drives the D2 grayscale pixel stream (the same stimulus as its testbed
 /// workload) while injecting the plan's faults cycle by cycle.
@@ -37,13 +35,8 @@ fn drive_pixels(sim: &mut Simulator, plan: &FaultPlan) -> Result<(), SimError> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let lib = StdIpLib::new();
     let design = buggy_design(BugId::D2)?;
-    let clock = design
-        .clocks()
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "clk".into());
+    let clock = design.primary_clock().ok_or("D2 has no clock")?;
 
     println!("fault plans derived from the D2 design:");
     let mut plans = all_plans(&design, 0xC0FFEE);
@@ -62,18 +55,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Instrument once: SignalCat over the design's $display statements and
     // the FSM monitor over its detected state machines.
     let sc = SignalCat::instrument(&design, &SignalCatConfig::default())?;
-    let with_sc = resolve(sc.module.clone(), &lib)?;
     let fsm = FsmMonitor::new().instrument(&design)?;
-    let with_fsm = resolve(fsm.module.clone(), &lib)?;
 
     for (class, plan) in &plans {
         println!("\n=== injecting: {class} ===");
 
         // SignalCat under faults: the log survives, and a wrapped or
         // truncated buffer is flagged rather than silently incomplete.
-        let mut sim = Simulator::new(with_sc.clone(), &StdModels, SimConfig::default())?;
-        match drive_pixels(&mut sim, plan) {
-            Ok(()) => {
+        match rerun(&sc.module, |s| drive_pixels(s, plan)) {
+            Ok(sim) => {
                 let checked = SignalCat::reconstruct_checked(&sc, &sim);
                 println!(
                     "[signalcat] {} cycles, {} records reconstructed{}",
@@ -85,17 +75,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     println!("[signalcat]   {}", warn.render(None));
                 }
             }
-            Err(e) => {
-                let diag: hwdbg::diag::HwdbgError = e.into();
-                println!("[signalcat] typed error: {}", diag.render(None));
-            }
+            Err(diag) => println!("[signalcat] typed error: {}", diag.render(None)),
         }
 
         // FSM monitor under faults: forcing the state register off its
         // encoding shows up as an "unlabeled state" degradation warning.
-        let mut sim = Simulator::new(with_fsm.clone(), &StdModels, SimConfig::default())?;
-        match drive_pixels(&mut sim, plan) {
-            Ok(()) => {
+        match rerun(&fsm.module, |s| drive_pixels(s, plan)) {
+            Ok(sim) => {
                 let checked = FsmMonitor::trace_checked(&fsm, &sim);
                 println!(
                     "[fsm-mon  ] {} transitions observed{}",
@@ -106,10 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     println!("[fsm-mon  ]   {}", warn.render(None));
                 }
             }
-            Err(e) => {
-                let diag: hwdbg::diag::HwdbgError = e.into();
-                println!("[fsm-mon  ] typed error: {}", diag.render(None));
-            }
+            Err(diag) => println!("[fsm-mon  ] typed error: {}", diag.render(None)),
         }
     }
 

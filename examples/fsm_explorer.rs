@@ -4,11 +4,8 @@
 //!
 //! Run with `cargo run --example fsm_explorer`.
 
-use hwdbg::dataflow::resolve;
-use hwdbg::ip::{StdIpLib, StdModels};
-use hwdbg::sim::{SimConfig, Simulator};
 use hwdbg::testbed::{buggy_design, metadata, workloads, BugId};
-use hwdbg::tools::FsmMonitor;
+use hwdbg::tools::{rerun, FsmMonitor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("FSMs detected across the 20 testbed designs:\n");
@@ -46,10 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nSDSPI command FSM transition trace:");
     let design = buggy_design(BugId::D9)?;
     let info = FsmMonitor::new().instrument(&design)?;
-    let lib = StdIpLib::new();
-    let d2 = resolve(info.module.clone(), &lib)?;
-    let mut sim = Simulator::new(d2, &StdModels, SimConfig::default())?;
-    let _ = workloads::run(BugId::D9, &mut sim)?;
+    let sim = rerun(&info.module, |s| workloads::run(BugId::D9, s).map(drop))?;
     for t in FsmMonitor::trace(&info, &sim) {
         println!(
             "  cycle {:>3}: {} {} -> {}",

@@ -5,12 +5,11 @@
 //!
 //! Run with `cargo run --example loss_hunt`.
 
-use hwdbg::dataflow::{resolve, PropGraph};
-use hwdbg::ip::{StdIpLib, StdModels};
-use hwdbg::sim::{SimConfig, Simulator};
+use hwdbg::dataflow::PropGraph;
+use hwdbg::ip::StdIpLib;
 use hwdbg::testbed::{buggy_design, metadata, workloads, BugId};
 use hwdbg::tools::losscheck::LossCheckConfig;
-use hwdbg::tools::LossCheck;
+use hwdbg::tools::{rerun, LossCheck};
 
 const LOSS_BUGS: [BugId; 7] = [
     BugId::D1,
@@ -39,14 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             source_valid: spec.valid.into(),
         };
         let info = LossCheck::instrument(&design, &graph, &cfg)?;
-        let instrumented = resolve(info.module.clone(), &lib)?;
-
-        let mut buggy = Simulator::new(instrumented.clone(), &StdModels, SimConfig::default())?;
-        let _ = workloads::run(id, &mut buggy)?;
+        let buggy = rerun(&info.module, |s| workloads::run(id, s).map(drop))?;
         let raw = LossCheck::reports(buggy.logs());
 
-        let mut ground = Simulator::new(instrumented, &StdModels, SimConfig::default())?;
-        let _ = workloads::run_ground_truth(id, &mut ground)?;
+        let ground = rerun(&info.module, |s| {
+            workloads::run_ground_truth(id, s).map(drop)
+        })?;
         let suppressed = LossCheck::reports(ground.logs());
         let filtered = LossCheck::filter(&raw, &suppressed);
 

@@ -3,11 +3,11 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use hwdbg::dataflow::{elaborate, resolve};
+use hwdbg::dataflow::elaborate;
 use hwdbg::ip::{StdIpLib, StdModels};
-use hwdbg::sim::{SimConfig, Simulator};
+use hwdbg::sim::{SimConfig, SimError, Simulator};
 use hwdbg::tools::signalcat::SignalCatConfig;
-use hwdbg::tools::SignalCat;
+use hwdbg::tools::{rerun, SignalCat};
 
 const DESIGN: &str = r#"
 // A tiny credit-based producer: emits a word and logs every grant.
@@ -29,14 +29,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = elaborate(&file, "producer", &lib)?;
 
     // --- Simulation with native $display -------------------------------
-    let mut sim = Simulator::new(design.clone(), &StdModels, SimConfig::default())?;
-    sim.poke_u64("rst", 1)?;
-    sim.step("clk")?;
-    sim.poke_u64("rst", 0)?;
-    for cycle in 0..8u64 {
-        sim.poke_u64("grant", (cycle % 2 == 0) as u64)?;
+    let drive = |sim: &mut Simulator| -> Result<(), SimError> {
+        sim.poke_u64("rst", 1)?;
         sim.step("clk")?;
-    }
+        sim.poke_u64("rst", 0)?;
+        for cycle in 0..8u64 {
+            sim.poke_u64("grant", (cycle % 2 == 0) as u64)?;
+            sim.step("clk")?;
+        }
+        Ok(())
+    };
+    let mut sim = Simulator::new(design.clone(), &StdModels, SimConfig::default())?;
+    drive(&mut sim)?;
     println!("native simulation log:");
     for rec in sim.logs() {
         println!("  {rec}");
@@ -56,15 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {}", line.trim());
     }
 
-    let deployed = resolve(instrumented.module.clone(), &lib)?;
-    let mut fpga = Simulator::new(deployed, &StdModels, SimConfig::default())?;
-    fpga.poke_u64("rst", 1)?;
-    fpga.step("clk")?;
-    fpga.poke_u64("rst", 0)?;
-    for cycle in 0..8u64 {
-        fpga.poke_u64("grant", (cycle % 2 == 0) as u64)?;
-        fpga.step("clk")?;
-    }
+    let fpga = rerun(&instrumented.module, drive)?;
     assert!(fpga.logs().is_empty(), "displays are stripped on-FPGA");
     let reconstructed = SignalCat::reconstruct(&instrumented, &fpga);
     println!("\nreconstructed from the on-chip trace buffer:");

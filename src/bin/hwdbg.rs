@@ -1,18 +1,20 @@
 //! `hwdbg` — command-line front end for the toolkit.
 //!
 //! ```text
-//! hwdbg parse <file.v> [--top NAME]                 check + print the flat module
-//! hwdbg sim <file.v> [--top NAME] [--cycles N] [--clock clk] [--vcd out.vcd]
+//! hwdbg parse <file.v|BUG_ID> [--top NAME]          check + print the flat module
+//! hwdbg sim <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--vcd out.vcd]
 //!           [--backend tree|levelized] [--json]
 //!                                                   pick the execution backend
-//! hwdbg fsm <file.v> [--top NAME]                   detect FSMs (§4.2 heuristics)
-//! hwdbg deps <file.v> --var SIGNAL [--cycles K]     dependency chain (§4.3)
-//! hwdbg signalcat <file.v> [--top NAME] [--depth N] emit instrumented Verilog (§4.1)
-//! hwdbg losscheck <file.v> --source S --sink K --valid V
+//! hwdbg fsm <file.v|BUG_ID> [--top NAME]            detect FSMs (§4.2 heuristics)
+//! hwdbg deps <file.v|BUG_ID> --var SIGNAL [--cycles K]
+//!                                                   dependency chain (§4.3)
+//! hwdbg signalcat <file.v|BUG_ID> [--top NAME] [--depth N]
+//!                                                   emit instrumented Verilog (§4.1)
+//! hwdbg losscheck <file.v|BUG_ID> --source S --sink K --valid V
 //!                                                   emit instrumented Verilog (§4.5)
-//! hwdbg resources <file.v> [--top NAME] [--platform harp|kc705]
+//! hwdbg resources <file.v|BUG_ID> [--top NAME] [--platform harp|kc705]
 //! hwdbg testbed [BUG_ID|all]                        reproduce testbed bugs (§6.1)
-//! hwdbg faults <file.v> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]
+//! hwdbg faults <file.v|BUG_ID> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]
 //!                                                   inject faults mid-simulation
 //! hwdbg profile <file.v|BUG_ID> [--cycles N] [--clock CLK] [--json]
 //!                                                   stage timings + hot-path counters
@@ -24,25 +26,26 @@
 //!                                                   fault-tolerant simulation fleet
 //! ```
 //!
+//! BUG_ID is a testbed bug (`d2`, `C1`, ...); `--top` defaults to the
+//! file's last module; `--clock` defaults to the design's primary clock
+//! and must name one of its signals.
+//!
 //! All errors surface as rendered [`hwdbg::diag::HwdbgError`] diagnostics
 //! (stable `EXXYY` codes, source excerpts for spanned errors) rather than
 //! panics or bare `Debug` dumps.
 
-use hwdbg::dataflow::{elaborate, flatten, resolve, DepKind, Design, PropGraph};
-use hwdbg::diag::HwdbgError;
-use hwdbg::diag::Severity;
+use hwdbg::dataflow::{DepKind, Design, PropGraph, SigKind};
+use hwdbg::diag::{ErrorCode, HwdbgError, Severity};
 use hwdbg::ip::{StdIpLib, StdModels};
 use hwdbg::lint::{Level, LintConfig};
 use hwdbg::obs::{counters_json, json_escape, render_human, stages_json, SimCounters, StageTimer};
 use hwdbg::sim::{run_with_faults, Backend, FaultPlan, SimConfig, Simulator};
 use hwdbg::synth::{estimate, estimate_timing, Platform};
-use hwdbg::testbed::{metadata, reproduce, BugId};
+use hwdbg::testbed::{metadata, reproduce, workloads, BugId, Loaded, Outcome, Target};
 use hwdbg::tools::losscheck::LossCheckConfig;
 use hwdbg::tools::signalcat::SignalCatConfig;
 use hwdbg::tools::statmon::Event;
-use hwdbg::tools::{
-    clock_map, DependencyMonitor, FsmMonitor, LossCheck, SignalCat, StatisticsMonitor,
-};
+use hwdbg::tools::{rerun, DependencyMonitor, FsmMonitor, LossCheck, SignalCat, StatisticsMonitor};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -89,35 +92,42 @@ fn print_usage() {
     println!(
         "hwdbg — software-style bug localization for reconfigurable hardware\n\n\
          usage:\n  \
-         hwdbg parse <file.v> [--top NAME]\n  \
-         hwdbg sim <file.v> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT] [--backend tree|levelized] [--json]\n  \
-         hwdbg fsm <file.v> [--top NAME]\n  \
-         hwdbg deps <file.v> --var SIGNAL [--cycles K] [--top NAME]\n  \
-         hwdbg signalcat <file.v> [--top NAME] [--depth N]\n  \
-         hwdbg losscheck <file.v> --source S --sink K --valid V [--top NAME]\n  \
-         hwdbg resources <file.v> [--top NAME] [--platform harp|kc705]\n  \
+         hwdbg parse <file.v|BUG_ID> [--top NAME]\n  \
+         hwdbg sim <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT] [--backend tree|levelized] [--json]\n  \
+         hwdbg fsm <file.v|BUG_ID> [--top NAME]\n  \
+         hwdbg deps <file.v|BUG_ID> --var SIGNAL [--cycles K] [--top NAME]\n  \
+         hwdbg signalcat <file.v|BUG_ID> [--top NAME] [--depth N]\n  \
+         hwdbg losscheck <file.v|BUG_ID> --source S --sink K --valid V [--top NAME]\n  \
+         hwdbg resources <file.v|BUG_ID> [--top NAME] [--platform harp|kc705]\n  \
          hwdbg testbed [BUG_ID|all]\n  \
-         hwdbg faults <file.v> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]\n  \
+         hwdbg faults <file.v|BUG_ID> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]\n  \
          hwdbg profile <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--json]\n  \
          hwdbg lint <file.v|BUG_ID> [--top NAME] [--json] [--deny IDS] [--allow IDS] [--warn IDS] [--explain LXXXX]\n  \
          hwdbg campaign <spec|fault-matrix|seed-sweep> [--jobs N] [--json] [--out FILE] [--seeds N]\n           \
-         [--job-timeout SECS] [--retries N] [--journal FILE] [--resume FILE] [--baseline FILE]"
+         [--job-timeout SECS] [--retries N] [--journal FILE] [--resume FILE] [--baseline FILE]\n\n\
+         BUG_ID names a testbed bug (d2, C1, ...); --top defaults to the file's last module;\n\
+         --clock defaults to the design's primary clock and must name one of its signals."
     );
 }
 
-/// Minimal flag parser: positional file plus `--key value` options.
+/// Minimal flag parser: positional target plus `--key value` options and
+/// the `--json` switch.
 struct Opts {
     file: Option<String>,
     flags: Vec<(String, String)>,
+    json: bool,
 }
 
 impl Opts {
     fn parse(args: &[String]) -> Result<Opts, Anyhow> {
         let mut file = None;
         let mut flags = Vec::new();
+        let mut json = false;
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
+            if a == "--json" {
+                json = true;
+            } else if let Some(key) = a.strip_prefix("--") {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -128,7 +138,7 @@ impl Opts {
                 return Err(format!("unexpected argument `{a}`").into());
             }
         }
-        Ok(Opts { file, flags })
+        Ok(Opts { file, flags, json })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -140,7 +150,9 @@ impl Opts {
     }
 
     fn file(&self) -> Result<&str, Anyhow> {
-        self.file.as_deref().ok_or_else(|| "missing <file.v>".into())
+        self.file
+            .as_deref()
+            .ok_or_else(|| "missing <file.v|BUG_ID>".into())
     }
 }
 
@@ -151,31 +163,34 @@ fn rendered(diag: HwdbgError, src: &str, path: &str) -> Anyhow {
     diag.with_path(path).render(Some(src)).into()
 }
 
-fn load(opts: &Opts) -> Result<Design, Anyhow> {
-    let path = opts.file()?;
-    let src = std::fs::read_to_string(path)?;
-    let file = hwdbg::rtl::parse(&src).map_err(|e| rendered(e.into(), &src, path))?;
-    let top = match opts.get("top") {
-        Some(t) => t.to_owned(),
-        None => {
-            file.modules
-                .last()
-                .ok_or("file contains no modules")?
-                .name
-                .clone()
-        }
-    };
-    let design = elaborate(&file, &top, &StdIpLib::new())
-        .map_err(|e| rendered(e.into(), &src, path))?;
-    for warn in design.lints() {
-        eprintln!("{}", warn.with_path(path).render(Some(&src)));
+/// Loads the target a subcommand names (a testbed bug id or a Verilog
+/// file) and prints the elaborator's warnings against its source.
+fn load(opts: &Opts, timer: &mut StageTimer) -> Result<Loaded, Anyhow> {
+    let loaded = Target::new(opts.file()?, opts.get("top")).load(timer)?;
+    for warn in loaded.design.lints() {
+        eprintln!(
+            "{}",
+            warn.with_path(&loaded.label).render(Some(&loaded.source))
+        );
     }
-    Ok(design)
+    Ok(loaded)
+}
+
+/// The clock a run drives: `--clock`, which must name a signal of the
+/// design, else the design's primary clock.
+fn pick_clock(opts: &Opts, design: &Design) -> Result<String, Anyhow> {
+    match opts.get("clock") {
+        Some(c) if design.signals.contains_key(c) => Ok(c.to_owned()),
+        Some(c) => Err(format!("--clock `{c}`: the design has no signal of that name").into()),
+        None => design
+            .primary_clock()
+            .ok_or_else(|| "the design has no clock; name a signal to toggle with --clock".into()),
+    }
 }
 
 fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     println!("{}", hwdbg::rtl::print_module(&design.flat));
     eprintln!(
         "ok: {} signals, {} comb drivers, {} clocked processes, {} blackboxes",
@@ -188,15 +203,8 @@ fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
-    let json = args.iter().any(|a| a == "--json");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--json")
-        .cloned()
-        .collect();
-    let opts = Opts::parse(&filtered)?;
-    let design = load(&opts)?;
-    let clock = opts.get("clock").unwrap_or("clk").to_owned();
+    let opts = Opts::parse(args)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let cycles: u64 = opts.get("cycles").unwrap_or("100").parse()?;
     let backend_name = opts.get("backend").unwrap_or("levelized").to_owned();
     let backend = match backend_name.as_str() {
@@ -204,6 +212,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
         "tree" => Backend::Tree,
         other => return Err(format!("unknown backend `{other}` (tree|levelized)").into()),
     };
+    let clock = pick_clock(&opts, &design)?;
     let mut sim = Simulator::new(
         design,
         &StdModels,
@@ -215,7 +224,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
     sim.run(&clock, cycles)?;
     let (lowered, total) = sim.compiled_design().lowering_coverage();
     let (regions, max_level, fused_signals) = sim.compiled_design().region_stats();
-    if json {
+    if opts.json {
         let logs: Vec<String> = sim
             .logs()
             .iter()
@@ -252,7 +261,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
 
 fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let fsms = FsmMonitor::detect(&design);
     if fsms.is_empty() {
         println!("no FSMs detected");
@@ -271,7 +280,7 @@ fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
 
 fn cmd_deps(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let var = opts.get("var").ok_or("missing --var SIGNAL")?;
     let k: u32 = opts.get("cycles").unwrap_or("3").parse()?;
     let graph = PropGraph::build(&design, &StdIpLib::new())?;
@@ -293,7 +302,7 @@ fn cmd_deps(args: &[String]) -> Result<(), Anyhow> {
 
 fn cmd_signalcat(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let cfg = SignalCatConfig {
         buffer_depth: opts.get("depth").unwrap_or("8192").parse()?,
         ..Default::default()
@@ -310,7 +319,7 @@ fn cmd_signalcat(args: &[String]) -> Result<(), Anyhow> {
 
 fn cmd_losscheck(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let cfg = LossCheckConfig {
         source: opts.get("source").ok_or("missing --source")?.to_owned(),
         sink: opts.get("sink").ok_or("missing --sink")?.to_owned(),
@@ -328,7 +337,7 @@ fn cmd_losscheck(args: &[String]) -> Result<(), Anyhow> {
 
 fn cmd_resources(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let platform = match opts.get("platform").unwrap_or("harp") {
         "harp" => Platform::IntelHarp,
         "kc705" => Platform::XilinxKc705,
@@ -353,10 +362,7 @@ fn cmd_testbed(args: &[String]) -> Result<(), Anyhow> {
     let ids: Vec<BugId> = if which == "all" {
         BugId::ALL.to_vec()
     } else {
-        let found = BugId::ALL
-            .into_iter()
-            .find(|id| id.to_string().eq_ignore_ascii_case(which));
-        vec![found.ok_or_else(|| format!("unknown bug id `{which}`"))?]
+        vec![which.parse()?]
     };
     let mut failures = 0;
     for id in ids {
@@ -381,194 +387,127 @@ fn cmd_testbed(args: &[String]) -> Result<(), Anyhow> {
 /// and the simulator's hot-path counters enabled, then report both.
 ///
 /// The target is either a Verilog file or a testbed bug id (`d2`, `c1`,
-/// ...). Analysis sub-spans run each paper tool that applies to the design
-/// and fold its tool-side counters into the same registry; tools that do
-/// not apply (no `$display`s, no FSM, no loss spec) are skipped silently —
-/// profiling reports what ran, it does not fail on what cannot.
+/// ...). Analysis sub-spans run each paper tool on the design — instrument,
+/// re-simulate under the profiled run's stimulus, observe — and fold its
+/// tool-side counters into the same registry. A tool that cannot run does
+/// not fail the profile: it is listed under `skipped` with its error code,
+/// or `n/a` when it needs a loss spec the target does not have.
 fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
-    let json = args.iter().any(|a| a == "--json");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--json")
-        .cloned()
-        .collect();
-    let opts = Opts::parse(&filtered)?;
-    let target = opts.file()?;
-
-    // Testbed bug id or path on disk.
-    let bug = BugId::ALL
-        .into_iter()
-        .find(|id| id.to_string().eq_ignore_ascii_case(target));
-    let (label, src, top, loss) = match bug {
-        Some(id) => {
-            let meta = metadata(id);
-            (
-                format!("testbed:{id}"),
-                meta.source.to_owned(),
-                Some(meta.top.to_owned()),
-                meta.loss,
-            )
-        }
-        None => (
-            target.to_owned(),
-            std::fs::read_to_string(target)?,
-            opts.get("top").map(str::to_owned),
-            None,
-        ),
-    };
-
-    let lib = StdIpLib::new();
+    let opts = Opts::parse(args)?;
     let mut timer = StageTimer::new();
-    let file = timer
-        .time("parse", || hwdbg::rtl::parse(&src))
-        .map_err(|e| rendered(e.into(), &src, &label))?;
-    let top = match top {
-        Some(t) => t,
-        None => {
-            file.modules
-                .last()
-                .ok_or("file contains no modules")?
-                .name
-                .clone()
-        }
-    };
-    timer.start("elaborate");
-    let design = timer
-        .time("flatten", || flatten(&file, &top, &lib))
-        .and_then(|flat| timer.time("resolve", || resolve(flat, &lib)));
-    timer.finish();
-    let design = design.map_err(|e| rendered(e.into(), &src, &label))?;
-
-    let clock = match opts.get("clock") {
-        Some(c) => c.to_owned(),
-        None => clock_map(&design).1.unwrap_or_else(|| "clk".into()),
-    };
+    let loaded = load(&opts, &mut timer)?;
+    let (label, bug) = (loaded.label, loaded.bug);
+    let clock = pick_clock(&opts, &loaded.design)?;
     let cycles: u64 = opts.get("cycles").unwrap_or("200").parse()?;
 
     let mut sim = timer.time("compile", || {
-        Simulator::new(
-            design.clone(),
-            &StdModels,
-            SimConfig::default().with_metrics(true),
-        )
+        Simulator::new(loaded.design, &StdModels, SimConfig::default().with_metrics(true))
     })?;
     // Testbed bugs run their push-button workload (the profile then covers
     // a representative stimulus, and a symptom is an outcome, not a crash);
-    // plain files free-run the clock.
+    // plain files free-run the clock. The tools' re-simulations drive the
+    // same way.
+    let drive = |s: &mut Simulator| match bug {
+        Some(id) => workloads::run(id, s).map(drop),
+        None => s.run(&clock, cycles),
+    };
     let outcome = match bug {
-        Some(id) => match timer.time("simulate", || hwdbg::testbed::workloads::run(id, &mut sim))
-        {
-            Ok(hwdbg::testbed::Outcome::Pass) => "pass".to_owned(),
-            Ok(hwdbg::testbed::Outcome::Fail { symptom, .. }) => format!("fail ({symptom})"),
+        Some(id) => match timer.time("simulate", || workloads::run(id, &mut sim)) {
+            Ok(Outcome::Pass) => "pass".to_owned(),
+            Ok(Outcome::Fail { symptom, .. }) => format!("fail ({symptom})"),
             Err(e) => format!("error ({e})"),
         },
         None => {
-            timer.time("simulate", || sim.run(&clock, cycles))?;
-            if sim.finished() {
-                "$finish".to_owned()
-            } else {
-                "ran".to_owned()
-            }
+            timer.time("simulate", || drive(&mut sim))?;
+            if sim.finished() { "$finish" } else { "ran" }.to_owned()
         }
     };
     let mut counters = sim.counters().copied().unwrap_or_default();
-    // Analysis re-simulations use the same stimulus as the profiled run.
-    let drive = |s: &mut Simulator| -> bool {
-        match bug {
-            Some(id) => hwdbg::testbed::workloads::run(id, s).is_ok(),
-            None => s.run(&clock, cycles).is_ok(),
-        }
-    };
+    let design = sim.design();
+    let loss = bug.and_then(|id| metadata(id).loss);
 
+    let mut skipped: Vec<(&str, &str, String)> = Vec::new();
+    let mut analyze =
+        |timer: &mut StageTimer, tool, run: &mut dyn FnMut() -> Result<(), HwdbgError>| {
+            if let Err(e) = timer.time(tool, run) {
+                skipped.push((tool, e.code.as_str(), e.message));
+            }
+        };
     timer.start("analyze");
-    timer.time("signalcat", || {
-        let Ok(info) = SignalCat::instrument(&design, &SignalCatConfig::default()) else {
-            return;
-        };
-        let Ok(d2) = resolve(info.module.clone(), &lib) else {
-            return;
-        };
-        let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-            return;
-        };
-        if !drive(&mut s) {
-            return;
-        }
-        SignalCat::observe(&info, &s, &mut counters);
+    let graph = timer.time("propgraph", || PropGraph::build(design, &StdIpLib::new()));
+    let graph = graph.map_err(HwdbgError::from);
+    analyze(&mut timer, "signalcat", &mut || {
+        let info = SignalCat::instrument(design, &SignalCatConfig::default())?;
+        SignalCat::observe(&info, &rerun(&info.module, drive)?, &mut counters);
+        Ok(())
     });
-    timer.time("fsm", || {
-        let Ok(info) = FsmMonitor::new().instrument(&design) else {
-            return;
-        };
-        let Ok(d2) = resolve(info.module.clone(), &lib) else {
-            return;
-        };
-        let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-            return;
-        };
-        if !drive(&mut s) {
-            return;
-        }
-        FsmMonitor::observe(&info, &s, &mut counters);
+    analyze(&mut timer, "fsm", &mut || {
+        let info = FsmMonitor::new().instrument(design)?;
+        FsmMonitor::observe(&info, &rerun(&info.module, drive)?, &mut counters);
+        Ok(())
     });
-    timer.time("depmon", || DependencyMonitor::observe(&sim, &mut counters));
-    if let Some(loss) = &loss {
-        timer.time("losscheck", || {
-            let cfg = LossCheckConfig {
-                source: loss.source.to_owned(),
-                sink: loss.sink.to_owned(),
-                source_valid: loss.valid.to_owned(),
-            };
-            let Ok(graph) = PropGraph::build(&design, &lib) else {
-                return;
-            };
-            let Ok(info) = LossCheck::instrument(&design, &graph, &cfg) else {
-                return;
-            };
-            let Ok(d2) = resolve(info.module.clone(), &lib) else {
-                return;
-            };
-            let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-                return;
-            };
-            if !drive(&mut s) {
-                return;
-            }
-            LossCheck::observe(s.logs(), &mut counters);
-        });
-        timer.time("statmon", || {
-            let Ok(expr) = hwdbg::rtl::parse_expr(loss.valid) else {
-                return;
-            };
-            let events = vec![Event::new("valid", expr)];
-            let Ok(info) = StatisticsMonitor::instrument(&design, &events, None) else {
-                return;
-            };
-            let Ok(d2) = resolve(info.module.clone(), &lib) else {
-                return;
-            };
-            let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-                return;
-            };
-            if !drive(&mut s) {
-                return;
-            }
-            StatisticsMonitor::observe(&info, &s, &mut counters);
-        });
+    analyze(&mut timer, "depmon", &mut || {
+        let target = depmon_target(design, bug).ok_or_else(|| {
+            HwdbgError::new(ErrorCode::NothingToInstrument, "no register to watch")
+        })?;
+        let graph = graph.as_ref().map_err(Clone::clone)?;
+        let kinds = [DepKind::Data, DepKind::Control];
+        let chain = DependencyMonitor::analyze(design, graph, &target, 2, &kinds)?;
+        let info = DependencyMonitor::instrument(design, &chain)?;
+        DependencyMonitor::observe(&rerun(&info.module, drive)?, &mut counters);
+        Ok(())
+    });
+    match loss {
+        Some(loss) => {
+            analyze(&mut timer, "losscheck", &mut || {
+                let cfg = LossCheckConfig {
+                    source: loss.source.to_owned(),
+                    sink: loss.sink.to_owned(),
+                    source_valid: loss.valid.to_owned(),
+                };
+                let info =
+                    LossCheck::instrument(design, graph.as_ref().map_err(Clone::clone)?, &cfg)?;
+                LossCheck::observe(rerun(&info.module, drive)?.logs(), &mut counters);
+                Ok(())
+            });
+            analyze(&mut timer, "statmon", &mut || {
+                let expr = hwdbg::rtl::parse_expr(loss.valid)?;
+                let info =
+                    StatisticsMonitor::instrument(design, &[Event::new("valid", expr)], None)?;
+                StatisticsMonitor::observe(&info, &rerun(&info.module, drive)?, &mut counters);
+                Ok(())
+            });
+        }
+        None => {
+            let why = "needs a testbed data-loss bug's loss spec";
+            skipped.extend(["losscheck", "statmon"].map(|tool| (tool, "n/a", why.to_owned())));
+        }
     }
     timer.finish();
 
+    let cycles = sim.cycle(&clock);
     let (lowered, total) = sim.compiled_design().lowering_coverage();
     let (regions, max_level, fused_signals) = sim.compiled_design().region_stats();
-    if json {
+    if opts.json {
+        let skipped: Vec<String> = skipped
+            .iter()
+            .map(|(tool, code, message)| {
+                format!(
+                    "{{\"tool\": \"{tool}\", \"code\": \"{code}\", \"message\": \"{}\"}}",
+                    json_escape(message)
+                )
+            })
+            .collect();
         println!(
             "{{\"design\": \"{}\", \"clock\": \"{}\", \"cycles\": {cycles}, \
              \"outcome\": \"{}\", \"lowered_units\": {lowered}, \"total_units\": {total}, \
              \"regions\": {regions}, \"max_level\": {max_level}, \
-             \"fused_signals\": {fused_signals}, \"stages\": {}, \"counters\": {}}}",
+             \"fused_signals\": {fused_signals}, \"skipped\": [{}], \"stages\": {}, \
+             \"counters\": {}}}",
             json_escape(&label),
             json_escape(&clock),
             json_escape(&outcome),
+            skipped.join(", "),
             stages_json(&timer),
             counters_json(&counters),
         );
@@ -578,9 +517,36 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
             "schedule: {lowered}/{total} units lowered; {regions} fused regions \
              (max level {max_level}, {fused_signals} promoted signals)"
         );
+        let mut lines: Vec<String> = skipped
+            .iter()
+            .map(|(tool, code, message)| format!("{tool} ({code}: {message})"))
+            .collect();
+        if lines.is_empty() {
+            lines.push("none".into());
+        }
+        println!("skipped: {}", lines.join(", "));
         println!("{}", render_human(&timer, &counters));
     }
     Ok(())
+}
+
+/// The Dependency Monitor's watch target: a testbed bug's loss sink, else
+/// its first labelled FSM register, else the design's first register.
+fn depmon_target(design: &Design, bug: Option<BugId>) -> Option<String> {
+    let meta = bug.map(metadata);
+    let sink = meta.as_ref().and_then(|m| m.loss).map(|l| l.sink);
+    let fsms = meta.iter().flat_map(|m| m.fsm_registers.iter().copied());
+    sink.into_iter()
+        .chain(fsms)
+        .find(|n| design.signals.contains_key(*n))
+        .map(str::to_owned)
+        .or_else(|| {
+            design
+                .signals
+                .values()
+                .find(|s| s.kind == SigKind::Reg && !s.name.starts_with("__"))
+                .map(|s| s.name.clone())
+        })
 }
 
 /// `hwdbg lint`: run the static bug-pattern passes over an elaborated
@@ -592,38 +558,11 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
 /// error. Any deny-level finding makes the command exit nonzero, so
 /// `--deny L0501` turns a lint into a CI gate.
 fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
-    let json = args.iter().any(|a| a == "--json");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--json")
-        .cloned()
-        .collect();
-    let opts = Opts::parse(&filtered)?;
+    let opts = Opts::parse(args)?;
     // `--explain LXXXX` needs no design: resolve the code and exit.
     if let Some(code) = opts.get("explain") {
-        return explain_code(code, json);
+        return explain_code(code, opts.json);
     }
-    let target = opts.file()?;
-
-    // Testbed bug id or path on disk.
-    let bug = BugId::ALL
-        .into_iter()
-        .find(|id| id.to_string().eq_ignore_ascii_case(target));
-    let (label, src, top) = match bug {
-        Some(id) => {
-            let meta = metadata(id);
-            (
-                format!("testbed:{id}"),
-                meta.source.to_owned(),
-                Some(meta.top.to_owned()),
-            )
-        }
-        None => (
-            target.to_owned(),
-            std::fs::read_to_string(target)?,
-            opts.get("top").map(str::to_owned),
-        ),
-    };
 
     let mut cfg = LintConfig::new();
     for (flag, level) in [
@@ -642,33 +581,19 @@ fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
     }
 
     let mut timer = StageTimer::new();
-    let file = timer
-        .time("parse", || hwdbg::rtl::parse(&src))
-        .map_err(|e| rendered(e.into(), &src, &label))?;
-    let top = match top {
-        Some(t) => t,
-        None => {
-            file.modules
-                .last()
-                .ok_or("file contains no modules")?
-                .name
-                .clone()
-        }
-    };
-    let design = timer
-        .time("elaborate", || elaborate(&file, &top, &StdIpLib::new()))
-        .map_err(|e| rendered(e.into(), &src, &label))?;
+    let loaded = load(&opts, &mut timer)?;
+    let (label, design) = (&loaded.label, &loaded.design);
 
     let mut counters = SimCounters::default();
     timer.start("lint");
-    let findings = hwdbg::lint::run_all(&design, &cfg, &mut timer, &mut counters);
+    let findings = hwdbg::lint::run_all(design, &cfg, &mut timer, &mut counters);
     timer.finish();
     let errors = findings
         .iter()
         .filter(|f| f.severity == Severity::Error)
         .count();
 
-    if json {
+    if opts.json {
         let items: Vec<String> = findings
             .iter()
             .map(|f| {
@@ -693,15 +618,15 @@ fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
         println!(
             "{{\"design\": \"{}\", \"top\": \"{}\", \"errors\": {errors}, \
              \"findings\": [{}], \"stages\": {}, \"counters\": {}}}",
-            json_escape(&label),
-            json_escape(&top),
+            json_escape(label),
+            json_escape(&design.flat.name),
             items.join(", "),
             stages_json(&timer),
             counters_json(&counters),
         );
     } else {
         for f in &findings {
-            println!("{}", f.clone().with_path(&label).render(Some(&src)));
+            println!("{}", f.clone().with_path(label).render(Some(&loaded.source)));
         }
         eprintln!(
             "{label}: {} finding(s) ({errors} error(s)) from {} pass(es)",
@@ -749,14 +674,14 @@ fn explain_code(code: &str, json: bool) -> Result<(), Anyhow> {
 
 fn cmd_faults(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
-    let design = load(&opts)?;
+    let design = load(&opts, &mut StageTimer::new())?.design;
     let plan_path = opts.get("plan").ok_or("missing --plan PLAN")?;
     let plan_src = std::fs::read_to_string(plan_path)?;
     let plan = FaultPlan::parse(&plan_src)
         .map_err(|e| rendered(e.into(), &plan_src, plan_path))?;
     plan.validate(&design)
         .map_err(|e| rendered(e.into(), &plan_src, plan_path))?;
-    let clock = opts.get("clock").unwrap_or("clk").to_owned();
+    let clock = pick_clock(&opts, &design)?;
     let cycles: u64 = opts.get("cycles").unwrap_or("100").parse()?;
 
     eprintln!("injecting {} fault(s):", plan.faults.len());
@@ -826,13 +751,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), Anyhow> {
         m.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    let json = args.iter().any(|a| a == "--json");
-    let filtered: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--json")
-        .cloned()
-        .collect();
-    let opts = Opts::parse(&filtered)?;
+    let opts = Opts::parse(args)?;
     let target = opts.file.as_deref().ok_or(
         "missing campaign target: a spec file, `fault-matrix`, or `seed-sweep`",
     )?;
@@ -929,7 +848,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), Anyhow> {
         sr.finish(&report)?;
     }
 
-    if json {
+    if opts.json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_human());

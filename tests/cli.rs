@@ -25,6 +25,18 @@ fn json_u64(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("`{key}` is not a number in {json}"))
 }
 
+/// Writes a design into the test scratch directory and returns its path.
+fn design_file(name: &str, src: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, src).expect("write test design");
+    path.to_str().expect("utf-8 temp path").to_owned()
+}
+
+/// A counter clocked by `clock`: a design with no signal named `clk`.
+const CLOCK_COUNTER: &str = "module counter(input clock, output reg [3:0] q);
+       always @(posedge clock) q <= q + 4'd1;
+     endmodule";
+
 /// The LossCheck and Statistics Monitor reruns inside `profile` drive the
 /// bug's own workload, so on a loss bug both tools observe activity.
 #[test]
@@ -95,4 +107,74 @@ fn lint_level_flags_reject_unknown_codes() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown lint code `L9999`"), "{stderr}");
     }
+}
+
+/// `profile` instruments the Dependency Monitor and re-simulates it like
+/// every other tool, and reports the cycles the bug's workload ran.
+#[test]
+fn profile_runs_depmon_and_reports_workload_cycles() {
+    use hwdbg::testbed::{buggy_design, simulator, workloads, BugId};
+    let out = hwdbg(&["profile", "d2", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json_u64(&json, "dep_updates") > 0, "{json}");
+    let mut sim = simulator(buggy_design(BugId::D2).unwrap()).unwrap();
+    workloads::run(BugId::D2, &mut sim).unwrap();
+    assert_eq!(json_u64(&json, "cycles"), sim.cycle("clk"), "{json}");
+}
+
+/// `sim` and `faults` drive the design's own clock when none is named, and
+/// reject a `--clock` that names no signal instead of ticking nothing.
+#[test]
+fn runs_default_to_the_design_clock_and_reject_unknown_clocks() {
+    let file = design_file("cli_clock_counter.v", CLOCK_COUNTER);
+    let out = hwdbg(&["sim", &file, "--cycles", "5", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"clock\": \"clock\""), "{json}");
+    assert_eq!(json_u64(&json, "cycles"), 5, "{json}");
+
+    let plan = design_file("cli_clock_counter.plan", "flip q 0 @ 2\n");
+    let out = hwdbg(&["faults", &file, "--plan", &plan, "--cycles", "5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("ran 5 cycles of `clock`"), "{stderr}");
+
+    for args in [
+        vec!["sim", &file, "--clock", "clk"],
+        vec!["faults", &file, "--plan", &plan, "--clock", "clk"],
+    ] {
+        let out = hwdbg(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--clock `clk`"), "{args:?}: {stderr}");
+    }
+}
+
+/// Tools that cannot run on a design are listed with their error code, not
+/// dropped: the counter has no `$display` and no FSM.
+#[test]
+fn profile_lists_skipped_tools_with_their_codes() {
+    let file = design_file("cli_skip_counter.v", CLOCK_COUNTER);
+    let out = hwdbg(&["profile", &file, "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    for tool in ["signalcat", "fsm"] {
+        let entry = format!("{{\"tool\": \"{tool}\", \"code\": \"E0502\"");
+        assert!(json.contains(&entry), "{tool}: {json}");
+    }
+    assert!(!json.contains("\"tool\": \"depmon\""), "{json}");
+    assert!(json_u64(&json, "dep_updates") > 0, "{json}");
 }

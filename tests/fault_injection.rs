@@ -27,7 +27,7 @@ const FAULT_CYCLES: u64 = 40;
 const SEED: u64 = 0xC0FFEE;
 
 fn clock_of(design: &hwdbg::dataflow::Design) -> Option<String> {
-    design.clocks().into_iter().next()
+    design.primary_clock()
 }
 
 /// Runs one faulted simulation of `design`, returning whether it
