@@ -48,10 +48,12 @@
 // fixture is the desired behavior, not a robustness hole.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use hwdbg_bench::harness::{bench, json_escape, paired_overhead_pct, Measurement};
+use hwdbg_bench::harness::{bench, paired_overhead_pct, Measurement};
 use hwdbg_dataflow::elaborate;
 use hwdbg_ip::StdModels;
-use hwdbg_obs::{counters_json, stages_json, thread_allocs, CountingAlloc, StageTimer};
+use hwdbg_obs::{
+    counters_json, json_escape, stages_json, thread_allocs, CountingAlloc, StageTimer,
+};
 use hwdbg_sim::{Backend, SimConfig, Simulator};
 use hwdbg_testbed::{buggy_design, BugId};
 

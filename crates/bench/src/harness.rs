@@ -199,23 +199,6 @@ pub fn paired_overhead_pct(base: &mut dyn FnMut(), with: &mut dyn FnMut()) -> Ov
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled output files.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,11 +208,6 @@ mod tests {
         let m = bench("noop_sum", || (0..100u64).sum::<u64>());
         assert!(m.iters > 0);
         assert!(m.ns_per_iter() > 0.0);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! design rtl/fifo.v top fifo   # RTL file (free-run drive); top defaults
 //!                              # to the file's last module
 //! mode run                     # workload | run (default per design kind)
-//! clock clk                    # free-run clock (default: the design's
-//!                              # primary clock, `Design::primary_clock`)
+//! clock clk                    # free-run clock, a signal of every design
+//!                              # (default: the design's primary clock,
+//!                              # `Design::primary_clock`)
 //! cycles 40                    # free-run length (default 100)
 //! seeds zero 1 2 0xC0FFEE      # RegInit axis: zero-init or random seeds
 //! seeds 1..8                   # inclusive range sweep
@@ -256,15 +257,19 @@ impl CampaignSpec {
                     )));
                 }
                 (Mode::Run, _) | (Mode::Auto, None) => Drive::FreeRun {
-                    clock: self
-                        .clock
-                        .clone()
-                        .or_else(|| design.primary_clock())
-                        .ok_or_else(|| {
+                    clock: match &self.clock {
+                        Some(c) if design.signals.contains_key(c) => c.clone(),
+                        Some(c) => {
+                            return Err(CampaignError::Spec(format!(
+                                "design `{label}`: clock `{c}` names no signal of the design"
+                            )));
+                        }
+                        None => design.primary_clock().ok_or_else(|| {
                             CampaignError::Spec(format!(
                                 "design `{label}` has no clock to free-run; name one with `clock`"
                             ))
                         })?,
+                    },
                     cycles: self.cycles,
                     stim: self.stim.clone(),
                 },
@@ -412,5 +417,36 @@ mod tests {
             "{:?}",
             campaign.jobs[0].drive
         );
+    }
+
+    /// A `clock` line must name a signal of the design: toggling a name the
+    /// design lacks would "run" cycles in which nothing happens.
+    #[test]
+    fn clock_must_name_a_signal_of_the_design() {
+        let path = std::env::temp_dir().join(format!("spec_clock_{}.v", std::process::id()));
+        std::fs::write(
+            &path,
+            "module ck(input clk, output reg [3:0] q);
+               always @(posedge clk) q <= q + 4'd1;
+             endmodule",
+        )
+        .unwrap();
+        let build = |clock: &str| {
+            let spec = format!(
+                "design {}\nmode run\nclock {clock}\ncycles 5\n",
+                path.display()
+            );
+            CampaignSpec::parse(&spec).unwrap().build()
+        };
+        let (bad, good) = (build("nosuch"), build("clk"));
+        std::fs::remove_file(&path).unwrap();
+        match bad {
+            Err(CampaignError::Spec(m)) => assert!(m.contains("clock `nosuch`"), "{m}"),
+            other => panic!(
+                "expected a spec error, got {:?}",
+                other.map(|c| c.jobs.len())
+            ),
+        }
+        assert_eq!(good.unwrap().jobs.len(), 1);
     }
 }

@@ -8,8 +8,8 @@
 //! chain so a developer can trace an incorrect output back to its origin.
 
 use crate::{clock_map, generated_lines, ToolError};
-use hwdbg_dataflow::{Design, DepKind, PropGraph};
-use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
+use hwdbg_dataflow::{eval_const, DepKind, Design, PropGraph};
+use hwdbg_rtl::{path_condition, walk, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::{LogRecord, Simulator};
 use std::collections::BTreeMap;
 
@@ -181,11 +181,30 @@ impl DependencyMonitor {
     /// sourced from the *high* byte of the shift register.
     pub fn partial_assignments(design: &Design, signal: &str) -> Vec<PartialAssign> {
         let mut out = Vec::new();
-        for p in &design.procs {
-            scan_partials(&p.body, &mut Vec::new(), signal, design, &mut out);
-        }
-        for c in &design.combs {
-            scan_partials(&c.body, &mut Vec::new(), signal, design, &mut out);
+        let bodies = design.procs.iter().map(|p| &p.body);
+        for body in bodies.chain(design.combs.iter().map(|c| &c.body)) {
+            walk(body, &mut |guards, stmt| {
+                let Stmt::Assign {
+                    lhs: LValue::Range(name, msb, lsb),
+                    rhs,
+                    ..
+                } = stmt
+                else {
+                    return;
+                };
+                if name != signal {
+                    return;
+                }
+                let bound = |e| eval_const(e, &design.consts).map(|b| b.to_u64() as u32);
+                if let (Ok(hi), Ok(lo)) = (bound(msb), bound(lsb)) {
+                    out.push(PartialAssign {
+                        lo,
+                        hi,
+                        srcs: rhs.idents().into_iter().map(str::to_owned).collect(),
+                        cond: path_condition(guards),
+                    });
+                }
+            });
         }
         out.sort_by_key(|pa| pa.lo);
         out
@@ -223,89 +242,6 @@ impl DependencyMonitor {
     /// the observability registry.
     pub fn observe(sim: &Simulator, counters: &mut hwdbg_obs::SimCounters) {
         counters.dep_updates += Self::trace(sim).len() as u64;
-    }
-}
-
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(
-                hwdbg_rtl::BinaryOp::LogAnd,
-                Box::new(acc),
-                Box::new(c),
-            )
-        }),
-    }
-}
-
-fn scan_partials(
-    stmt: &Stmt,
-    conds: &mut Vec<Expr>,
-    signal: &str,
-    design: &Design,
-    out: &mut Vec<PartialAssign>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_partials(s, conds, signal, design, out);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            conds.push(cond.clone());
-            scan_partials(then, conds, signal, design, out);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(
-                    hwdbg_rtl::UnaryOp::LogNot,
-                    Box::new(cond.clone()),
-                ));
-                scan_partials(e, conds, signal, design, out);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                conds.push(arm_cond);
-                scan_partials(&arm.body, conds, signal, design, out);
-                conds.pop();
-            }
-            if let Some(d) = default {
-                scan_partials(d, conds, signal, design, out);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            if let LValue::Range(name, msb, lsb) = lhs {
-                if name == signal {
-                    let m = hwdbg_dataflow::eval_const(msb, &design.consts)
-                        .map(|b| b.to_u64() as u32);
-                    let l = hwdbg_dataflow::eval_const(lsb, &design.consts)
-                        .map(|b| b.to_u64() as u32);
-                    if let (Ok(hi), Ok(lo)) = (m, l) {
-                        out.push(PartialAssign {
-                            lo,
-                            hi,
-                            srcs: rhs.idents().into_iter().map(str::to_owned).collect(),
-                            cond: conj(conds),
-                        });
-                    }
-                }
-            }
-        }
-        Stmt::For { body, .. } => scan_partials(body, conds, signal, design, out),
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 
@@ -382,6 +318,37 @@ mod tests {
         assert!(updates.iter().any(|u| u.signal == "stage1" && u.value == 9));
         assert!(updates.iter().any(|u| u.signal == "out" && u.value == 10));
         assert!(!updates.iter().any(|u| u.signal == "unrelated"));
+    }
+
+    /// Partial assignments under a `case` carry the same path condition
+    /// as the propagation relations of the same writes: arm *i* excludes
+    /// the earlier arms, and `default` excludes them all.
+    #[test]
+    fn partial_conditions_match_propagation_relations() {
+        let src = "module m(input clk, input [1:0] sel, input [7:0] a, input [7:0] b,
+                            output reg [15:0] r);
+            always @(posedge clk)
+                case (sel)
+                    0: r[7:0] <= a;
+                    0, 1: r[15:8] <= b;
+                    default: r[7:0] <= b;
+                endcase
+        endmodule";
+        let d = elaborate(&hwdbg_rtl::parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+        let g = PropGraph::build(&d, &NoBlackboxes).unwrap();
+        let mut from_graph: Vec<String> = g
+            .incoming("r")
+            .map(|rel| hwdbg_rtl::print_expr(&rel.cond))
+            .collect();
+        from_graph.dedup();
+        let partials: Vec<String> = DependencyMonitor::partial_assignments(&d, "r")
+            .iter()
+            .map(|pa| hwdbg_rtl::print_expr(&pa.cond))
+            .collect();
+        // Sorted by low bit (stable): arm 0, default, then the upper byte.
+        let in_source_order = [&partials[0], &partials[2], &partials[1]].map(String::clone);
+        assert_eq!(in_source_order.as_slice(), from_graph.as_slice());
+        assert_eq!(partials[1], "(!(sel == 0)) && (!((sel == 0) | (sel == 1)))");
     }
 
     #[test]

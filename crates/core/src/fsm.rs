@@ -14,7 +14,7 @@
 use crate::{clock_map, generated_lines, ToolError};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{Design, SigKind};
-use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
+use hwdbg_rtl::{walk, Expr, Guard, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::{LogRecord, Simulator};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -133,11 +133,11 @@ impl FsmMonitor {
     /// false positives.
     pub fn detect_with_config(design: &Design, cfg: &FsmDetectConfig) -> Vec<FsmInfo> {
         let mut facts: BTreeMap<String, SignalFacts> = BTreeMap::new();
-        for p in &design.procs {
-            scan_stmt(&p.body, &mut vec![], design, &mut facts, true);
-        }
-        for c in &design.combs {
-            scan_stmt(&c.body, &mut vec![], design, &mut facts, false);
+        let procs = design.procs.iter().map(|p| (&p.body, true));
+        for (body, clocked) in procs.chain(design.combs.iter().map(|c| (&c.body, false))) {
+            walk(body, &mut |guards, stmt| {
+                scan_stmt(stmt, guards, design, &mut facts, clocked)
+            });
         }
 
         let mut out = Vec::new();
@@ -430,48 +430,27 @@ fn note_expr_usage(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
     }
 }
 
+/// Notes what one statement tells about the signals it touches; `guards`
+/// are the guards around it (an `if` or `case` among them makes an
+/// assignment conditional, a `for` does not).
 fn scan_stmt(
     stmt: &Stmt,
-    cond_depth: &mut Vec<()>,
+    guards: &[Guard<'_>],
     design: &Design,
     facts: &mut BTreeMap<String, SignalFacts>,
     clocked: bool,
 ) {
     match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_stmt(s, cond_depth, design, facts, clocked);
-            }
-        }
-        Stmt::If { cond, then, els } => {
+        Stmt::If { cond, .. } => {
             note_condition_idents(cond, facts);
             note_expr_usage(cond, facts);
-            cond_depth.push(());
-            scan_stmt(then, cond_depth, design, facts, clocked);
-            if let Some(e) = els {
-                scan_stmt(e, cond_depth, design, facts, clocked);
-            }
-            cond_depth.pop();
         }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
+        Stmt::Case { expr, arms, .. } => {
             note_condition_idents(expr, facts);
             note_expr_usage(expr, facts);
-            cond_depth.push(());
-            for arm in arms {
-                for l in &arm.labels {
-                    note_expr_usage(l, facts);
-                }
-                scan_stmt(&arm.body, cond_depth, design, facts, clocked);
+            for l in arms.iter().flat_map(|a| &a.labels) {
+                note_expr_usage(l, facts);
             }
-            if let Some(d) = default {
-                scan_stmt(d, cond_depth, design, facts, clocked);
-            }
-            cond_depth.pop();
         }
         Stmt::Assign { lhs, rhs, .. } => {
             note_expr_usage(rhs, facts);
@@ -483,7 +462,7 @@ fn scan_stmt(
                     if clocked {
                         f.clocked_assigns += 1;
                     }
-                    if !cond_depth.is_empty() {
+                    if guards.iter().any(|g| !matches!(g, Guard::Loop { .. })) {
                         f.conditional_assigns += 1;
                     }
                     if all_const {
@@ -502,8 +481,7 @@ fn scan_stmt(
                 }
             }
         }
-        Stmt::For { body, .. } => scan_stmt(body, cond_depth, design, facts, clocked),
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
+        _ => {}
     }
 }
 

@@ -169,6 +169,15 @@ pub fn generated_lines(items: &[hwdbg_rtl::Item]) -> usize {
     printed.lines().count().saturating_sub(2)
 }
 
+/// Reduces an expression to one bit (Verilog truthiness) if it is wider:
+/// `|e`, so a multi-bit condition drives a 1-bit wire or `if`.
+pub(crate) fn to_bool(e: hwdbg_rtl::Expr, design: &Design) -> hwdbg_rtl::Expr {
+    match design.expr_width(&e) {
+        Ok(1) => e,
+        _ => hwdbg_rtl::Expr::Unary(hwdbg_rtl::UnaryOp::RedOr, Box::new(e)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

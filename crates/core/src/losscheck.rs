@@ -19,9 +19,11 @@
 //! that also fire there are suppressed, which reproduces both the paper's
 //! D1 false positive and its D11 false negative.
 
-use crate::{clock_map, generated_lines, ToolError};
+use crate::{clock_map, generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::{Design, DepKind, PropGraph, SigKind};
-use hwdbg_rtl::{BinaryOp, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp};
+use hwdbg_rtl::{
+    path_condition, walk, BinaryOp, Expr, Guard, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
+};
 use hwdbg_sim::LogRecord;
 use std::collections::BTreeSet;
 
@@ -454,7 +456,29 @@ fn scan_memory_ports(design: &Design, mem: &str) -> MemPorts {
         reads: Vec::new(),
     };
     for p in &design.procs {
-        scan_stmt_ports(&p.body, &mut vec![], mem, &mut ports);
+        walk(&p.body, &mut |guards, stmt| match stmt {
+            Stmt::If { cond: e, .. } | Stmt::Case { expr: e, .. } => {
+                scan_expr_reads(e, guards, mem, &mut ports);
+            }
+            Stmt::Assign { lhs, rhs, .. } => {
+                scan_expr_reads(rhs, guards, mem, &mut ports);
+                if let LValue::Index(name, idx) = lhs {
+                    if name == mem {
+                        ports.writes.push(MemWrite {
+                            cond: path_condition(guards),
+                            idx: idx.clone(),
+                            srcs: rhs.idents().into_iter().map(|s| s.to_owned()).collect(),
+                        });
+                    }
+                }
+            }
+            Stmt::Display { args, .. } => {
+                for a in args {
+                    scan_expr_reads(a, guards, mem, &mut ports);
+                }
+            }
+            _ => {}
+        });
     }
     // Combinational reads (e.g. `assign head = mem[rd_ptr];`) observe a
     // slot continuously without consuming it; treating them as propagation
@@ -463,110 +487,32 @@ fn scan_memory_ports(design: &Design, mem: &str) -> MemPorts {
     ports
 }
 
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(BinaryOp::LogAnd, Box::new(acc), Box::new(c))
-        }),
-    }
-}
-
-fn scan_stmt_ports(stmt: &Stmt, conds: &mut Vec<Expr>, mem: &str, ports: &mut MemPorts) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_stmt_ports(s, conds, mem, ports);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            scan_expr_reads(cond, conds, mem, ports);
-            conds.push(cond.clone());
-            scan_stmt_ports(then, conds, mem, ports);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(UnaryOp::LogNot, Box::new(cond.clone())));
-                scan_stmt_ports(e, conds, mem, ports);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            scan_expr_reads(expr, conds, mem, ports);
-            let mut not_prior: Vec<Expr> = Vec::new();
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                let n = not_prior.len() + 1;
-                conds.extend(not_prior.iter().cloned());
-                conds.push(arm_cond.clone());
-                scan_stmt_ports(&arm.body, conds, mem, ports);
-                conds.truncate(conds.len() - n);
-                not_prior.push(Expr::Unary(UnaryOp::LogNot, Box::new(arm_cond)));
-            }
-            if let Some(d) = default {
-                let n = not_prior.len();
-                conds.extend(not_prior.iter().cloned());
-                scan_stmt_ports(d, conds, mem, ports);
-                conds.truncate(conds.len() - n);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            scan_expr_reads(rhs, conds, mem, ports);
-            if let LValue::Index(name, idx) = lhs {
-                if name == mem {
-                    ports.writes.push(MemWrite {
-                        cond: conj(conds),
-                        idx: idx.clone(),
-                        srcs: rhs.idents().into_iter().map(|s| s.to_owned()).collect(),
-                    });
-                }
-            }
-        }
-        Stmt::For { body, .. } => scan_stmt_ports(body, conds, mem, ports),
-        Stmt::Display { args, .. } => {
-            for a in args {
-                scan_expr_reads(a, conds, mem, ports);
-            }
-        }
-        Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-fn scan_expr_reads(e: &Expr, conds: &[Expr], mem: &str, ports: &mut MemPorts) {
+fn scan_expr_reads(e: &Expr, guards: &[Guard<'_>], mem: &str, ports: &mut MemPorts) {
     match e {
         Expr::Index(name, idx) if name == mem => {
-            ports.reads.push((conj(conds), (**idx).clone()));
-            scan_expr_reads(idx, conds, mem, ports);
+            ports.reads.push((path_condition(guards), (**idx).clone()));
+            scan_expr_reads(idx, guards, mem, ports);
         }
-        Expr::Index(_, idx) => scan_expr_reads(idx, conds, mem, ports),
+        Expr::Index(_, idx) => scan_expr_reads(idx, guards, mem, ports),
         Expr::Unary(_, i) | Expr::WidthCast(_, i) | Expr::SignCast(_, i) => {
-            scan_expr_reads(i, conds, mem, ports)
+            scan_expr_reads(i, guards, mem, ports)
         }
         Expr::Binary(_, a, b) | Expr::Repeat(a, b) => {
-            scan_expr_reads(a, conds, mem, ports);
-            scan_expr_reads(b, conds, mem, ports);
+            scan_expr_reads(a, guards, mem, ports);
+            scan_expr_reads(b, guards, mem, ports);
         }
         Expr::Ternary(c, t, f) => {
-            scan_expr_reads(c, conds, mem, ports);
-            scan_expr_reads(t, conds, mem, ports);
-            scan_expr_reads(f, conds, mem, ports);
+            scan_expr_reads(c, guards, mem, ports);
+            scan_expr_reads(t, guards, mem, ports);
+            scan_expr_reads(f, guards, mem, ports);
         }
         Expr::Range(_, a, b) => {
-            scan_expr_reads(a, conds, mem, ports);
-            scan_expr_reads(b, conds, mem, ports);
+            scan_expr_reads(a, guards, mem, ports);
+            scan_expr_reads(b, guards, mem, ports);
         }
         Expr::Concat(parts) => {
             for p in parts {
-                scan_expr_reads(p, conds, mem, ports);
+                scan_expr_reads(p, guards, mem, ports);
             }
         }
         Expr::Literal { .. } | Expr::Ident(_) => {}
@@ -590,13 +536,6 @@ fn h_reg(r: &str) -> String {
 }
 fn h_wire(r: &str) -> String {
     format!("__lc_hw_{r}")
-}
-
-fn to_bool(e: Expr, design: &Design) -> Expr {
-    match design.expr_width(&e) {
-        Ok(1) => e,
-        _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
-    }
 }
 
 #[cfg(test)]

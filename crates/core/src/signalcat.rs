@@ -10,12 +10,12 @@
 //! captured entries back into the exact log the `$display`s would have
 //! printed — the same output in simulation and deployment.
 
-use crate::{generated_lines, ToolError};
+use crate::{generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::Design;
 use hwdbg_ip::TraceBuffer;
 use hwdbg_rtl::{
-    BinaryOp, CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
-    UnaryOp,
+    path_condition, walk, walk_mut, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span,
+    Stmt,
 };
 use hwdbg_sim::{LogRecord, Simulator};
 
@@ -100,8 +100,22 @@ impl SignalCat {
             let Some(edge) = p.edges.iter().find(|e| e.posedge) else {
                 continue;
             };
-            let mut conds: Vec<Expr> = Vec::new();
-            collect_displays(&p.body, &mut conds, &edge.signal, design, &mut stmts);
+            walk(&p.body, &mut |guards, stmt| {
+                let Stmt::Display { format, args, .. } = stmt else {
+                    return;
+                };
+                stmts.push(DisplayStmt {
+                    id: stmts.len(),
+                    format: format.clone(),
+                    arg_widths: args
+                        .iter()
+                        .map(|a| design.expr_width(a).unwrap_or(1))
+                        .collect(),
+                    args: args.clone(),
+                    constraint: path_condition(guards),
+                    clock: edge.signal.clone(),
+                });
+            });
         }
         stmts
     }
@@ -367,124 +381,18 @@ fn arg_wire(id: usize, j: usize) -> String {
     format!("__sc_a{id}_{j}")
 }
 
-/// Reduces an expression to one bit (Verilog truthiness) if needed.
-fn to_bool(e: Expr, design: &Design) -> Expr {
-    match design.expr_width(&e) {
-        Ok(1) => e,
-        _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
-    }
-}
-
-/// Walks a statement tree maintaining the path-condition stack and records
-/// every `$display`.
-fn collect_displays(
-    stmt: &Stmt,
-    conds: &mut Vec<Expr>,
-    clock: &str,
-    design: &Design,
-    out: &mut Vec<DisplayStmt>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_displays(s, conds, clock, design, out);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            conds.push(cond.clone());
-            collect_displays(then, conds, clock, design, out);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(UnaryOp::LogNot, Box::new(cond.clone())));
-                collect_displays(e, conds, clock, design, out);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            let mut not_prior: Vec<Expr> = Vec::new();
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                let n = not_prior.len() + 1;
-                conds.extend(not_prior.iter().cloned());
-                conds.push(arm_cond.clone());
-                collect_displays(&arm.body, conds, clock, design, out);
-                conds.truncate(conds.len() - n);
-                not_prior.push(Expr::Unary(UnaryOp::LogNot, Box::new(arm_cond)));
-            }
-            if let Some(d) = default {
-                let n = not_prior.len();
-                conds.extend(not_prior.iter().cloned());
-                collect_displays(d, conds, clock, design, out);
-                conds.truncate(conds.len() - n);
-            }
-        }
-        Stmt::Display { format, args, .. } => {
-            let constraint = conds
-                .iter()
-                .cloned()
-                .reduce(|a, b| Expr::Binary(BinaryOp::LogAnd, Box::new(a), Box::new(b)))
-                .unwrap_or_else(|| Expr::sized(1, 1));
-            out.push(DisplayStmt {
-                id: out.len(),
-                format: format.clone(),
-                arg_widths: args
-                    .iter()
-                    .map(|a| design.expr_width(a).unwrap_or(1))
-                    .collect(),
-                args: args.clone(),
-                constraint,
-                clock: clock.to_owned(),
-            });
-        }
-        Stmt::For { body, .. } => collect_displays(body, conds, clock, design, out),
-        _ => {}
-    }
-}
-
 /// Removes `$display` statements from the clocked logic of a module.
 fn strip_displays(module: &mut Module) {
     for item in &mut module.items {
         if let Item::Always { event, body, .. } = item {
             if matches!(event, hwdbg_rtl::EventControl::Edges(_)) {
-                strip_stmt(body);
+                walk_mut(body, &mut |s| {
+                    if matches!(s, Stmt::Display { .. }) {
+                        *s = Stmt::Empty;
+                    }
+                });
             }
         }
-    }
-}
-
-fn strip_stmt(stmt: &mut Stmt) {
-    match stmt {
-        Stmt::Display { .. } => *stmt = Stmt::Empty,
-        Stmt::Block(stmts) => {
-            for s in stmts.iter_mut() {
-                strip_stmt(s);
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            strip_stmt(then);
-            if let Some(e) = els {
-                strip_stmt(e);
-            }
-        }
-        Stmt::Case { arms, default, .. } => {
-            for CaseArm { body, .. } in arms.iter_mut() {
-                strip_stmt(body);
-            }
-            if let Some(d) = default {
-                strip_stmt(d);
-            }
-        }
-        Stmt::For { body, .. } => strip_stmt(body),
-        _ => {}
     }
 }
 

@@ -6,9 +6,9 @@
 //! anomalies — e.g. fewer valid outputs than valid inputs, the signature
 //! of data loss — can be read off directly.
 
-use crate::{clock_map, generated_lines, ToolError};
+use crate::{clock_map, generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::Design;
-use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp};
+use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::Simulator;
 use std::collections::BTreeMap;
 
@@ -86,12 +86,8 @@ impl StatisticsMonitor {
         for ev in events {
             let cnt = Self::counter_name(&ev.name);
             new_items.push(Item::Net(NetDecl::vector(NetKind::Reg, cnt.clone(), 32)));
-            let truthy = match design.expr_width(&ev.expr) {
-                Ok(1) => ev.expr.clone(),
-                _ => Expr::Unary(UnaryOp::RedOr, Box::new(ev.expr.clone())),
-            };
             let body = Stmt::if_then(
-                truthy,
+                to_bool(ev.expr.clone(), design),
                 Stmt::Block(vec![
                     Stmt::nonblocking(
                         LValue::Id(cnt.clone()),

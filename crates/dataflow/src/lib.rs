@@ -49,7 +49,7 @@ pub use design::{
 };
 pub use intern::{SigId, SignalTable};
 pub use flatten::{expr_to_lvalue, flatten};
-pub use prop::{cond_leaves, BuildStats, CondLeaf, DepKind, PropGraph, Relation};
+pub use prop::{cond_leaves, push_cond_leaves, BuildStats, CondLeaf, DepKind, PropGraph, Relation};
 pub use rewrite::{rewrite_expr, rewrite_lvalue, rewrite_stmt, Repl};
 pub use scc::tarjan_scc;
 

@@ -18,7 +18,9 @@ use crate::blackbox::BlackboxLib;
 use crate::design::Design;
 use crate::intern::{SigId, SignalTable};
 use crate::DataflowError;
-use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt, UnaryOp};
+use hwdbg_rtl::{
+    path_condition, path_condition_with, walk, BinaryOp, Expr, Guard, LValue, Span, Stmt, UnaryOp,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -83,18 +85,21 @@ pub struct CondLeaf<'a> {
 /// comparisons, bare signals) is one leaf.
 pub fn cond_leaves(e: &Expr) -> Vec<CondLeaf<'_>> {
     let mut out = Vec::new();
-    collect_leaves(e, true, &mut out);
+    push_cond_leaves(e, true, &mut out);
     out
 }
 
-fn collect_leaves<'a>(e: &'a Expr, positive: bool, out: &mut Vec<CondLeaf<'a>>) {
+/// Appends the leaves of `e` (or of `!e` when `positive` is false) to
+/// `out`. A negated conjunction stays one opaque leaf: `!(a && b)` proves
+/// neither `!a` nor `!b`.
+pub fn push_cond_leaves<'a>(e: &'a Expr, positive: bool, out: &mut Vec<CondLeaf<'a>>) {
     match e {
         Expr::Binary(BinaryOp::LogAnd, a, b) if positive => {
-            collect_leaves(a, true, out);
-            collect_leaves(b, true, out);
+            push_cond_leaves(a, true, out);
+            push_cond_leaves(b, true, out);
         }
         Expr::Unary(UnaryOp::LogNot | UnaryOp::Not, inner) => {
-            collect_leaves(inner, !positive, out);
+            push_cond_leaves(inner, !positive, out);
         }
         other => out.push(CondLeaf { expr: other, positive }),
     }
@@ -369,11 +374,13 @@ impl Builder {
     }
 
     fn walk_design(&mut self, design: &Design) {
-        for c in &design.combs {
-            self.walk_stmt(&c.body, &mut vec![], 0);
-        }
-        for p in &design.procs {
-            self.walk_stmt(&p.body, &mut vec![], 1);
+        let bodies = design.combs.iter().map(|c| (&c.body, 0));
+        for (body, latency) in bodies.chain(design.procs.iter().map(|p| (&p.body, 1))) {
+            walk(body, &mut |guards, stmt| {
+                if let Stmt::Assign { lhs, rhs, span, .. } = stmt {
+                    self.emit_assign(lhs, rhs, guards, latency, *span);
+                }
+            });
         }
     }
 
@@ -406,77 +413,27 @@ impl Builder {
         }
     }
 
-    fn walk_stmt(&mut self, stmt: &Stmt, conds: &mut Vec<Expr>, latency: u32) {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.walk_stmt(s, conds, latency);
-                }
-            }
-            Stmt::If { cond, then, els } => {
-                conds.push(cond.clone());
-                self.walk_stmt(then, conds, latency);
-                conds.pop();
-                if let Some(els) = els {
-                    conds.push(negate(cond));
-                    self.walk_stmt(els, conds, latency);
-                    conds.pop();
-                }
-            }
-            Stmt::Case {
-                expr,
-                arms,
-                default,
-                ..
-            } => {
-                let mut not_prior: Vec<Expr> = Vec::new();
-                for arm in arms {
-                    let mut label_eq = Vec::new();
-                    for l in &arm.labels {
-                        label_eq.push(Expr::eq(expr.clone(), l.clone()));
-                    }
-                    let arm_cond = Expr::any(label_eq);
-                    let mut full = not_prior.clone();
-                    full.push(arm_cond.clone());
-                    let n = full.len();
-                    conds.extend(full);
-                    self.walk_stmt(&arm.body, conds, latency);
-                    conds.truncate(conds.len() - n);
-                    not_prior.push(negate(&arm_cond));
-                }
-                if let Some(d) = default {
-                    let n = not_prior.len();
-                    conds.extend(not_prior);
-                    self.walk_stmt(d, conds, latency);
-                    conds.truncate(conds.len() - n);
-                }
-            }
-            Stmt::Assign { lhs, rhs, span, .. } => {
-                self.emit_assign(lhs, rhs, conds, latency, *span);
-            }
-            Stmt::For { body, .. } => {
-                // Loop structure itself is compile-time; relations inside
-                // the body hold under the enclosing conditions.
-                self.walk_stmt(body, conds, latency);
-            }
-            Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
-        }
-    }
-
     fn emit_assign(
         &mut self,
         lhs: &LValue,
         rhs: &Expr,
-        conds: &[Expr],
+        guards: &[Guard<'_>],
         latency: u32,
         span: Span,
     ) {
+        let dsts: Vec<SigId> = lhs
+            .target_names()
+            .into_iter()
+            .filter_map(|d| self.table.id(d))
+            .collect();
+        if dsts.is_empty() {
+            return;
+        }
+        let path = path_condition(guards);
         let mut control_ids: BTreeSet<SigId> = BTreeSet::new();
-        for c in conds {
-            for n in c.idents() {
-                if let Some(id) = self.table.id(n) {
-                    control_ids.insert(id);
-                }
+        for n in path.idents() {
+            if let Some(id) = self.table.id(n) {
+                control_ids.insert(id);
             }
         }
         // Index expressions on the LHS are control: they steer where data
@@ -489,14 +446,6 @@ impl Builder {
             }
         }
 
-        let dsts: Vec<SigId> = lhs
-            .target_names()
-            .into_iter()
-            .filter_map(|d| self.table.id(d))
-            .collect();
-        if dsts.is_empty() {
-            return;
-        }
         for (extra, leaf) in rhs_cases(rhs) {
             let mut case_ctrl = control_ids.clone();
             for e in &extra {
@@ -516,10 +465,13 @@ impl Builder {
             if data_srcs.is_empty() && case_ctrl.is_empty() {
                 continue;
             }
-            let mut all = conds.to_vec();
-            all.extend(extra.iter().cloned());
             // One shared Arc per guard case, not one clone per edge.
-            let cond = self.alloc_cond(conj(&all));
+            let cond = if extra.is_empty() {
+                path.clone()
+            } else {
+                path_condition_with(guards, extra)
+            };
+            let cond = self.alloc_cond(cond);
             for &dst in &dsts {
                 for &src in &data_srcs {
                     self.relations.push(Relation {
@@ -546,25 +498,6 @@ impl Builder {
     }
 }
 
-/// Conjunction of a condition stack (`1'b1` when empty).
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(
-                hwdbg_rtl::BinaryOp::LogAnd,
-                Box::new(acc),
-                Box::new(c),
-            )
-        }),
-    }
-}
-
-fn negate(e: &Expr) -> Expr {
-    Expr::Unary(hwdbg_rtl::UnaryOp::LogNot, Box::new(e.clone()))
-}
-
 /// Splits a right-hand side into `(extra conditions, leaf value)` cases by
 /// decomposing top-level ternaries, per the paper's running example where
 /// `out <= cond_a ? a : b` yields `a ⇝cond_a out` and `b ⇝¬cond_a out`.
@@ -577,7 +510,7 @@ fn rhs_cases(rhs: &Expr) -> Vec<(Vec<Expr>, Expr)> {
                 out.push((extra, leaf));
             }
             for (mut extra, leaf) in rhs_cases(f) {
-                extra.insert(0, negate(c));
+                extra.insert(0, Expr::log_not((**c).clone()));
                 out.push((extra, leaf));
             }
             out

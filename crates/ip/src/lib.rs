@@ -214,6 +214,15 @@ impl BlackboxFactory for StdModels {
     }
 }
 
+/// The value a model drives on `name` right now (no inputs): what the
+/// simulator reads through [`Blackbox::eval_port`].
+#[cfg(test)]
+pub(crate) fn out_port(model: &mut dyn Blackbox, name: &str) -> hwdbg_bits::Bits {
+    let mut out = hwdbg_bits::Bits::default();
+    assert!(model.eval_port(name, &BTreeMap::new(), &mut out), "`{name}` is not driven");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

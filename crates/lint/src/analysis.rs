@@ -1,143 +1,35 @@
-//! Shared guard-path machinery for lint passes.
+//! Shared guard-path helpers for lint passes.
 //!
-//! Every pass over procedural code needs the same primitive: visit each
-//! assignment together with the `if`/`case` guards that dominate it. The
-//! [`walk`] visitor provides that, and the helpers below decompose guard
-//! stacks into *conjunct leaves* — the individual boolean facts that must
-//! hold on a path — so passes can ask questions like "is this write under a
-//! positive reset?" or "does this set-site wait for `ready`?" without
-//! re-implementing boolean reasoning.
+//! Passes visit each statement with the `if`/`case`/`for` guards that
+//! dominate it through [`hwdbg_rtl::walk()`], the walker every tool shares.
+//! The helpers below decompose a guard stack into *conjunct leaves* — the
+//! individual boolean facts that must hold on a path — so passes can ask
+//! questions like "is this write under a positive reset?" or "does this
+//! set-site wait for `ready`?" without re-implementing boolean reasoning.
 
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{eval_const, CondLeaf, Design, SigKind};
-use hwdbg_rtl::{print_expr, BinaryOp, Expr, Stmt, UnaryOp};
+use hwdbg_dataflow::{eval_const, push_cond_leaves, CondLeaf, Design, SigKind};
+use hwdbg_rtl::{print_expr, BinaryOp, Expr, Guard, UnaryOp};
 use std::collections::BTreeSet;
 
-/// One guard on the path from a process body to a statement.
-#[derive(Debug, Clone, Copy)]
-pub enum Guard<'a> {
-    /// An `if` condition; `positive` is false inside the `else` branch.
-    Cond {
-        /// The condition expression.
-        cond: &'a Expr,
-        /// True in the `then` branch, false in the `else` branch.
-        positive: bool,
-    },
-    /// A `case` arm: the selector matched one of `labels`.
-    Arm {
-        /// The case selector.
-        selector: &'a Expr,
-        /// The labels of the matched arm.
-        labels: &'a [Expr],
-    },
-    /// The `default` arm: the selector matched no explicit arm.
-    Default {
-        /// The case selector.
-        selector: &'a Expr,
-    },
-}
-
-/// Calls `f` on every [`Stmt::Assign`] and [`Stmt::Display`] in `stmt`,
-/// passing the guard stack active at that point. `for` bodies are visited
-/// with the loop condition as an extra guard.
-pub fn walk<'a>(
-    stmt: &'a Stmt,
-    guards: &mut Vec<Guard<'a>>,
-    f: &mut dyn FnMut(&[Guard<'a>], &'a Stmt),
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                walk(s, guards, f);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            guards.push(Guard::Cond {
-                cond,
-                positive: true,
-            });
-            walk(then, guards, f);
-            guards.pop();
-            if let Some(e) = els {
-                guards.push(Guard::Cond {
-                    cond,
-                    positive: false,
-                });
-                walk(e, guards, f);
-                guards.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            for arm in arms {
-                guards.push(Guard::Arm {
-                    selector: expr,
-                    labels: &arm.labels,
-                });
-                walk(&arm.body, guards, f);
-                guards.pop();
-            }
-            if let Some(d) = default {
-                guards.push(Guard::Default { selector: expr });
-                walk(d, guards, f);
-                guards.pop();
-            }
-        }
-        Stmt::For { cond, body, .. } => {
-            guards.push(Guard::Cond {
-                cond,
-                positive: true,
-            });
-            walk(body, guards, f);
-            guards.pop();
-        }
-        Stmt::Assign { .. } | Stmt::Display { .. } => f(guards, stmt),
-        Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-/// A flattened boolean leaf of the `if` guards on a path: the fact
-/// `expr` (if `positive`) or `!expr` holds whenever the path executes.
-#[derive(Debug, Clone, Copy)]
-pub struct Conjunct<'a> {
-    /// The leaf expression, with `!`/`~` wrappers stripped into `positive`.
-    pub expr: &'a Expr,
-    /// Polarity of the fact.
-    pub positive: bool,
-}
-
-/// Flattens the `if`-condition guards of a path into conjunct leaves:
-/// `a && !b` contributes `(a, +)` and `(b, -)`. Disjunctions and negated
-/// conjunctions stay opaque single leaves (we only reason about facts that
-/// *must* hold). Case-arm guards contribute nothing — compare paths with
-/// [`path_key`] when arm identity matters.
-pub fn conjuncts<'a>(guards: &[Guard<'a>]) -> Vec<Conjunct<'a>> {
+/// The `if` facts of a path as conjunct leaves: `a && !b` contributes
+/// `(a, +)` and `(b, -)` (see [`push_cond_leaves`]). A `for` body counts as
+/// the `then` of `if (cond)`. Case-arm guards contribute nothing — compare
+/// paths with [`path_key`] when arm identity matters.
+pub fn conjuncts<'a>(guards: &[Guard<'a>]) -> Vec<CondLeaf<'a>> {
     let mut out = Vec::new();
     for g in guards {
-        if let Guard::Cond { cond, positive } = g {
-            flatten(cond, *positive, &mut out);
+        match *g {
+            Guard::Cond { cond, positive } => push_cond_leaves(cond, positive, &mut out),
+            Guard::Loop { cond } => push_cond_leaves(cond, true, &mut out),
+            Guard::Arm { .. } | Guard::Default { .. } => {}
         }
     }
     out
 }
 
-fn flatten<'a>(e: &'a Expr, positive: bool, out: &mut Vec<Conjunct<'a>>) {
-    match e {
-        Expr::Binary(BinaryOp::LogAnd, a, b) if positive => {
-            flatten(a, true, out);
-            flatten(b, true, out);
-        }
-        Expr::Unary(UnaryOp::LogNot | UnaryOp::Not, inner) => flatten(inner, !positive, out),
-        _ => out.push(Conjunct { expr: e, positive }),
-    }
-}
-
 /// The conjunct's plain identifier name, if it is a bare signal test.
-pub fn ident_leaf<'a>(c: &Conjunct<'a>) -> Option<(&'a str, bool)> {
+pub fn ident_leaf<'a>(c: &CondLeaf<'a>) -> Option<(&'a str, bool)> {
     match c.expr {
         Expr::Ident(n) => Some((n, c.positive)),
         _ => None,
@@ -150,7 +42,7 @@ pub fn ident_leaf<'a>(c: &Conjunct<'a>) -> Option<(&'a str, bool)> {
 ///
 /// Recognized shapes: the `else` of `if (r == K)` (and `r != K`), and the
 /// `then` of `if (r < K)`, with `K` constant under the design's parameters.
-pub fn wrap_bound<'a>(c: &Conjunct<'a>, design: &Design) -> Option<(&'a str, u64)> {
+pub fn wrap_bound<'a>(c: &CondLeaf<'a>, design: &Design) -> Option<(&'a str, u64)> {
     let Expr::Binary(op, a, b) = c.expr else {
         return None;
     };
@@ -203,11 +95,14 @@ pub fn path_key(guards: &[Guard<'_>]) -> String {
                 let sign = if *positive { '+' } else { '-' };
                 parts.push(format!("{sign}({})", print_expr(cond)));
             }
-            Guard::Arm { selector, labels } => {
+            Guard::Loop { cond } => parts.push(format!("+({})", print_expr(cond))),
+            Guard::Arm {
+                selector, labels, ..
+            } => {
                 let labels: Vec<String> = labels.iter().map(print_expr).collect();
                 parts.push(format!("arm({}:{})", print_expr(selector), labels.join(",")));
             }
-            Guard::Default { selector } => {
+            Guard::Default { selector, .. } => {
                 parts.push(format!("def({})", print_expr(selector)));
             }
         }
@@ -217,7 +112,7 @@ pub fn path_key(guards: &[Guard<'_>]) -> String {
 
 /// A stable key for one conjunct (expression text plus polarity), used for
 /// subset comparisons between paths.
-pub fn conjunct_key(c: &Conjunct<'_>) -> String {
+pub fn conjunct_key(c: &CondLeaf<'_>) -> String {
     let sign = if c.positive { '+' } else { '-' };
     format!("{sign}({})", print_expr(c.expr))
 }
@@ -345,9 +240,8 @@ mod tests {
 
     fn leaves(src: &str, positive: bool) -> Vec<(String, bool)> {
         let e = parse_expr(src).unwrap();
-        let mut out = Vec::new();
-        flatten(&e, positive, &mut out);
-        out.iter()
+        conjuncts(&[Guard::Cond { cond: &e, positive }])
+            .iter()
             .map(|c| (print_expr(c.expr), c.positive))
             .collect()
     }

@@ -27,9 +27,11 @@
 //!   the same observability surface as simulation stages: exactly one
 //!   stage per registered pass, in registry order, named by its id.
 //!
-//! Passes share the guard-path machinery in [`analysis`]: a walker that
-//! visits every assignment with the `if`/`case` guard stack active at that
-//! point, plus conjunct flattening and constant-bound extraction.
+//! Passes visit statements through [`hwdbg_rtl::walk()`], the guard-path
+//! walker every tool shares, which hands each statement the `if`/`case`/
+//! `for` guard stack around it. [`analysis`] adds the lint-side helpers
+//! over those stacks: conjunct leaves, path keys, reset tests and
+//! constant-bound extraction.
 
 pub mod analysis;
 mod ctx;

@@ -2,11 +2,11 @@
 //! [`FsmMonitor`]: unreachable states, trap states, and transitions to
 //! encodings no one declared.
 
-use crate::analysis::{self, Guard};
+use crate::analysis;
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{Expr, Span, Stmt};
+use hwdbg_rtl::{walk, Expr, Guard, Span, Stmt};
 use hwdbg_tools::FsmMonitor;
 use std::collections::BTreeSet;
 
@@ -78,10 +78,29 @@ impl LintPass for FsmLintPass {
                 .map(|&i| &design.procs[i].body)
                 .chain(uses.comb_readers.iter().map(|&i| &design.combs[i].body));
             for body in readers {
-                scan_cases(design, body, state, fsm.width, &mut |labels, default, span| {
-                    arm_union.extend(labels);
-                    has_default |= default;
-                    case_span.get_or_insert(span);
+                walk(body, &mut |_, stmt| {
+                    let Stmt::Case {
+                        expr: Expr::Ident(n),
+                        arms,
+                        default,
+                        span,
+                        ..
+                    } = stmt
+                    else {
+                        return;
+                    };
+                    if n != state {
+                        return;
+                    }
+                    for l in arms.iter().flat_map(|a| &a.labels) {
+                        if let Some(v) = analysis::const_value(l, design) {
+                            if v.width() <= 64 {
+                                arm_union.insert(v.resize(fsm.width).to_u64());
+                            }
+                        }
+                    }
+                    has_default |= default.is_some();
+                    case_span.get_or_insert(*span);
                 });
             }
             let Some(case_span) = case_span else {
@@ -95,8 +114,7 @@ impl LintPass for FsmLintPass {
             let mut sites: Vec<Site> = Vec::new();
             let mut analyzable = true;
             for &i in &uses.proc_writers {
-                let mut guards = Vec::new();
-                analysis::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
+                walk(&design.procs[i].body, &mut |guards, stmt| {
                     let Stmt::Assign { lhs, rhs, .. } = stmt else {
                         return;
                     };
@@ -201,59 +219,6 @@ fn state_name(states: &std::collections::BTreeMap<u64, String>, v: u64) -> Strin
     }
 }
 
-/// Finds every `case` whose selector is exactly the state register and
-/// reports (const arm label values, has-default, span).
-fn scan_cases(
-    design: &Design,
-    stmt: &Stmt,
-    state: &str,
-    width: u32,
-    f: &mut impl FnMut(Vec<u64>, bool, Span),
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_cases(design, s, state, width, f);
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            scan_cases(design, then, state, width, f);
-            if let Some(e) = els {
-                scan_cases(design, e, state, width, f);
-            }
-        }
-        Stmt::For { body, .. } => scan_cases(design, body, state, width, f),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            span,
-            ..
-        } => {
-            if matches!(expr, Expr::Ident(n) if n == state) {
-                let mut labels = Vec::new();
-                for arm in arms {
-                    for l in &arm.labels {
-                        if let Some(v) = analysis::const_value(l, design) {
-                            if v.width() <= 64 {
-                                labels.push(v.resize(width).to_u64());
-                            }
-                        }
-                    }
-                }
-                f(labels, default.is_some(), *span);
-            }
-            for arm in arms {
-                scan_cases(design, &arm.body, state, width, f);
-            }
-            if let Some(d) = default {
-                scan_cases(design, d, state, width, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// The innermost case-arm context over the state register in a guard stack.
 fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> ArmCtx {
     for g in guards.iter().rev() {
@@ -261,6 +226,7 @@ fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> Ar
             Guard::Arm {
                 selector: Expr::Ident(n),
                 labels,
+                ..
             } if n == state => {
                 let values = labels
                     .iter()
@@ -272,6 +238,7 @@ fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> Ar
             }
             Guard::Default {
                 selector: Expr::Ident(n),
+                ..
             } if n == state => {
                 return ArmCtx::Default;
             }

@@ -6,7 +6,7 @@ use crate::analysis::{self, conjuncts, ident_leaf};
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{LValue, Span, Stmt};
+use hwdbg_rtl::{walk, LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One constant assignment site of a one-bit control flag.
@@ -175,8 +175,7 @@ fn collect_flags(design: &Design, resets: &BTreeSet<String>) -> BTreeMap<String,
     let mut flags: BTreeMap<String, Flag> = BTreeMap::new();
     let mut disqualified: BTreeSet<String> = BTreeSet::new();
     for proc in &design.procs {
-        let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        walk(&proc.body, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };

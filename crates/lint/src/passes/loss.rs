@@ -5,11 +5,11 @@
 //! dropped because a sticky error flag gates the datapath shut, or thrown
 //! away because a re-init branch forgot one register.
 
-use crate::analysis::{self, conjunct_key, conjuncts, ident_leaf, Guard};
+use crate::analysis::{self, conjunct_key, conjuncts, ident_leaf};
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_bits::Bits;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{LValue, Span, Stmt};
+use hwdbg_rtl::{walk, Guard, LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Path identity of one statement: flattened `if` conjuncts plus case-arm
@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 fn guard_keys(guards: &[Guard<'_>]) -> BTreeSet<String> {
     let mut keys: BTreeSet<String> = conjuncts(guards).iter().map(conjunct_key).collect();
     for g in guards {
-        if !matches!(g, Guard::Cond { .. }) {
+        if matches!(g, Guard::Arm { .. } | Guard::Default { .. }) {
             keys.insert(analysis::path_key(std::slice::from_ref(g)));
         }
     }
@@ -44,8 +44,7 @@ impl LintPass for DeadWritePass {
         for proc in &design.procs {
             // (signal, guard keys, span, rhs reads signal) in source order.
             let mut writes: Vec<(&str, BTreeSet<String>, Span, bool)> = Vec::new();
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            walk(&proc.body, &mut |guards, stmt| {
                 let Stmt::Assign {
                     lhs: LValue::Id(name),
                     nonblocking: true,
@@ -112,7 +111,9 @@ impl LintPass for LivenessPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body))
         {
-            scan_reads(body, &mut logic, &mut display);
+            walk(body, &mut |_, stmt| {
+                scan_reads(stmt, &mut logic, &mut display)
+            });
         }
         for proc in &design.procs {
             logic.extend(proc.edges.iter().map(|e| e.signal.as_str()));
@@ -165,48 +166,24 @@ impl LintPass for LivenessPass {
     }
 }
 
+/// Collects the identifiers one statement reads itself (its nested
+/// statements are visited on their own): `$display` arguments into
+/// `display`, everything else into `logic`.
 fn scan_reads<'a>(stmt: &'a Stmt, logic: &mut BTreeSet<&'a str>, display: &mut BTreeSet<&'a str>) {
     match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_reads(s, logic, display);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            logic.extend(cond.idents());
-            scan_reads(then, logic, display);
-            if let Some(e) = els {
-                scan_reads(e, logic, display);
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
+        Stmt::If { cond, .. } => logic.extend(cond.idents()),
+        Stmt::Case { expr, arms, .. } => {
             logic.extend(expr.idents());
-            for arm in arms {
-                for l in &arm.labels {
-                    logic.extend(l.idents());
-                }
-                scan_reads(&arm.body, logic, display);
-            }
-            if let Some(d) = default {
-                scan_reads(d, logic, display);
+            for l in arms.iter().flat_map(|a| &a.labels) {
+                logic.extend(l.idents());
             }
         }
         Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
+            init, cond, step, ..
         } => {
-            logic.extend(init.idents());
-            logic.extend(cond.idents());
-            logic.extend(step.idents());
-            scan_reads(body, logic, display);
+            for e in [init, cond, step] {
+                logic.extend(e.idents());
+            }
         }
         Stmt::Assign { lhs, rhs, .. } => {
             logic.extend(rhs.idents());
@@ -217,7 +194,7 @@ fn scan_reads<'a>(stmt: &'a Stmt, logic: &mut BTreeSet<&'a str>, display: &mut B
                 display.extend(a.idents());
             }
         }
-        Stmt::Finish | Stmt::Empty => {}
+        Stmt::Block(_) | Stmt::Finish | Stmt::Empty => {}
     }
 }
 
@@ -266,8 +243,7 @@ impl LintPass for StickyFlagPass {
         let mut flags: BTreeMap<&str, FlagInfo> = BTreeMap::new();
         let mut gated: BTreeSet<String> = BTreeSet::new();
         for proc in &design.procs {
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            walk(&proc.body, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };
@@ -365,8 +341,7 @@ impl LintPass for ReinitPass {
             }
             let mut groups: BTreeMap<String, Group<'_>> = BTreeMap::new();
 
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            walk(&proc.body, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };

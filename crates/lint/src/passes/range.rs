@@ -6,7 +6,7 @@ use crate::analysis::{self, conjuncts, wrap_bound};
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::{Design, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt};
+use hwdbg_rtl::{walk, BinaryOp, Expr, Guard, LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The statically provable maximum of an index register.
@@ -47,7 +47,9 @@ impl LintPass for MemIndexPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body))
         {
-            scan_accesses(design, body, &mut ident_accesses, &mut const_accesses);
+            walk(body, &mut |_, stmt| {
+                scan_accesses(design, stmt, &mut ident_accesses, &mut const_accesses);
+            });
         }
 
         for (mem, idx) in ident_accesses {
@@ -126,8 +128,7 @@ fn addr_limit(design: &Design, name: &str) -> Option<u64> {
 fn index_bounds(design: &Design) -> BTreeMap<&str, IdxBound> {
     let mut bounds: BTreeMap<&str, IdxBound> = BTreeMap::new();
     for proc in &design.procs {
-        let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        walk(&proc.body, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
@@ -181,7 +182,7 @@ fn contribution(
     name: &str,
     lhs: &LValue,
     rhs: &Expr,
-    guards: &[analysis::Guard<'_>],
+    guards: &[Guard<'_>],
 ) -> Contribution {
     if !matches!(lhs, LValue::Id(_)) {
         // A partial write scrambles the value unpredictably.
@@ -214,9 +215,10 @@ fn contribution(
     Contribution::Unbounded
 }
 
-/// Collects `base[index]` accesses from expressions and lvalues, splitting
-/// identifier indices from constant ones. `$display` arguments are skipped
-/// — debug reads are not datapath accesses.
+/// Collects the `base[index]` accesses one statement makes itself (its
+/// nested statements are visited on their own), splitting identifier
+/// indices from constant ones. `$display` arguments are skipped — debug
+/// reads are not datapath accesses.
 fn scan_accesses<'a>(
     design: &Design,
     stmt: &'a Stmt,
@@ -224,46 +226,19 @@ fn scan_accesses<'a>(
     consts: &mut BTreeSet<(&'a str, u64)>,
 ) {
     match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_accesses(design, s, idents, consts);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            scan_expr(design, cond, idents, consts);
-            scan_accesses(design, then, idents, consts);
-            if let Some(e) = els {
-                scan_accesses(design, e, idents, consts);
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
+        Stmt::If { cond, .. } => scan_expr(design, cond, idents, consts),
+        Stmt::Case { expr, arms, .. } => {
             scan_expr(design, expr, idents, consts);
-            for arm in arms {
-                for l in &arm.labels {
-                    scan_expr(design, l, idents, consts);
-                }
-                scan_accesses(design, &arm.body, idents, consts);
-            }
-            if let Some(d) = default {
-                scan_accesses(design, d, idents, consts);
+            for l in arms.iter().flat_map(|a| &a.labels) {
+                scan_expr(design, l, idents, consts);
             }
         }
         Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
+            init, cond, step, ..
         } => {
-            scan_expr(design, init, idents, consts);
-            scan_expr(design, cond, idents, consts);
-            scan_expr(design, step, idents, consts);
-            scan_accesses(design, body, idents, consts);
+            for e in [init, cond, step] {
+                scan_expr(design, e, idents, consts);
+            }
         }
         Stmt::Assign { lhs, rhs, .. } => {
             scan_expr(design, rhs, idents, consts);
@@ -271,7 +246,7 @@ fn scan_accesses<'a>(
                 note_index(design, base, idx, idents, consts);
             }
         }
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
+        Stmt::Block(_) | Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 

@@ -1,10 +1,10 @@
 //! Structural lints: combinational cycles and silent width truncation.
 
-use crate::analysis::{self, significant_bits};
+use crate::analysis::significant_bits;
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::{tarjan_scc, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
+use hwdbg_rtl::{print_lvalue, walk, BinaryOp, Expr, Stmt, UnaryOp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `L0201`: a cycle among combinational drivers. The simulator's settling
@@ -101,8 +101,7 @@ impl LintPass for WidthTruncationPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body));
         for body in bodies {
-            let mut guards = Vec::new();
-            analysis::walk(body, &mut guards, &mut |_, stmt| {
+            walk(body, &mut |_, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };

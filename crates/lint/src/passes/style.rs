@@ -9,7 +9,7 @@ use crate::analysis;
 use crate::{LintCtx, LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{print_expr, Stmt};
+use hwdbg_rtl::{print_expr, walk, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `L0101`: a combinational `case` with no `default` that does not cover
@@ -30,77 +30,57 @@ impl LintPass for IncompleteCasePass {
     fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
         let design = cx.design();
         for comb in &design.combs {
-            scan_cases(design, &comb.body, sink);
+            walk(&comb.body, &mut |_, stmt| check_case(design, stmt, sink));
         }
     }
 }
 
-fn scan_cases(design: &Design, stmt: &Stmt, sink: &mut LintSink<'_>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_cases(design, s, sink);
+/// Flags `stmt` if it is a `case` with no default whose constant labels do
+/// not cover every selector value.
+fn check_case(design: &Design, stmt: &Stmt, sink: &mut LintSink<'_>) {
+    let Stmt::Case {
+        expr,
+        arms,
+        default: None,
+        span,
+        ..
+    } = stmt
+    else {
+        return;
+    };
+    // No default: prove full coverage or flag.
+    let Ok(width) = design.expr_width(expr) else {
+        return;
+    };
+    if width > 16 {
+        return;
+    }
+    let mut covered = BTreeSet::new();
+    for label in arms.iter().flat_map(|a| &a.labels) {
+        match analysis::const_value(label, design) {
+            Some(v) if v.width() <= 64 => {
+                covered.insert(v.resize(width.max(1)).to_u64());
             }
+            // A label we cannot evaluate: assume coverage rather than
+            // guess.
+            _ => return,
         }
-        Stmt::If { then, els, .. } => {
-            scan_cases(design, then, sink);
-            if let Some(e) = els {
-                scan_cases(design, e, sink);
-            }
-        }
-        Stmt::For { body, .. } => scan_cases(design, body, sink),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            span,
-            ..
-        } => {
-            for arm in arms {
-                scan_cases(design, &arm.body, sink);
-            }
-            if let Some(d) = default {
-                scan_cases(design, d, sink);
-                return;
-            }
-            // No default: prove full coverage or flag.
-            let Ok(width) = design.expr_width(expr) else {
-                return;
-            };
-            if width > 16 {
-                return;
-            }
-            let mut covered = BTreeSet::new();
-            for arm in arms {
-                for label in &arm.labels {
-                    match analysis::const_value(label, design) {
-                        Some(v) if v.width() <= 64 => {
-                            covered.insert(v.resize(width.max(1)).to_u64());
-                        }
-                        // A label we cannot evaluate: assume coverage
-                        // rather than guess.
-                        _ => return,
-                    }
-                }
-            }
-            let needed = 1u128 << width;
-            if (covered.len() as u128) < needed {
-                sink.emit(
-                    HwdbgError::warning(
-                        ErrorCode::LintIncompleteCase,
-                        format!(
-                            "combinational case over `{}` has no default and covers \
-                             {} of {} selector values; unmatched selectors infer a latch",
-                            print_expr(expr),
-                            covered.len(),
-                            needed
-                        ),
-                    )
-                    .with_span(*span),
-                );
-            }
-        }
-        _ => {}
+    }
+    let needed = 1u128 << width;
+    if (covered.len() as u128) < needed {
+        sink.emit(
+            HwdbgError::warning(
+                ErrorCode::LintIncompleteCase,
+                format!(
+                    "combinational case over `{}` has no default and covers \
+                     {} of {} selector values; unmatched selectors infer a latch",
+                    print_expr(expr),
+                    covered.len(),
+                    needed
+                ),
+            )
+            .with_span(*span),
+        );
     }
 }
 
@@ -127,8 +107,7 @@ impl LintPass for AssignStylePass {
     fn run(&self, cx: &LintCtx<'_>, sink: &mut LintSink<'_>) {
         let design = cx.design();
         for proc in &design.procs {
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
+            walk(&proc.body, &mut |_, stmt| {
                 let Stmt::Assign {
                     lhs,
                     nonblocking: false,
@@ -157,8 +136,7 @@ impl LintPass for AssignStylePass {
             });
         }
         for comb in &design.combs {
-            let mut guards = Vec::new();
-            analysis::walk(&comb.body, &mut guards, &mut |_, stmt| {
+            walk(&comb.body, &mut |_, stmt| {
                 let Stmt::Assign {
                     lhs,
                     nonblocking: true,
@@ -206,8 +184,7 @@ impl LintPass for MultiProcWritePass {
         // which are process-local, never collide across processes.
         let mut writers: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
         for (i, proc) in design.procs.iter().enumerate() {
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
+            walk(&proc.body, &mut |_, stmt| {
                 if let Stmt::Assign { lhs, .. } = stmt {
                     for target in lhs.target_names() {
                         if design.signals.contains_key(target) {

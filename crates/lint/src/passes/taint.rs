@@ -23,13 +23,12 @@
 //!   meant to keep (subclass D6, bit truncation).
 
 use crate::analysis::{
-    self, cmp_bound, conjuncts, const_value, in_reset, qualifies_advance, stream_pairs,
-    Conjunct,
+    cmp_bound, conjuncts, const_value, in_reset, qualifies_advance, stream_pairs,
 };
 use crate::{LintCtx, LintPass, LintSink};
-use hwdbg_dataflow::{cond_leaves, DepKind, Design, PropGraph, SigKind};
+use hwdbg_dataflow::{cond_leaves, CondLeaf, DepKind, Design, PropGraph, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{BinaryOp, Dir, Expr, Span, Stmt};
+use hwdbg_rtl::{walk, BinaryOp, Dir, Expr, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// `L0603`: a stream payload register advances without its valid/ready
@@ -280,8 +279,7 @@ impl LintPass for OccupancyPass {
         let flag_updates = registered_flag_updates(design, resets);
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for proc in &design.procs {
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            walk(&proc.body, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, span, .. } = stmt else {
                     return;
                 };
@@ -471,8 +469,7 @@ fn registered_flag_updates<'a>(
 ) -> BTreeMap<&'a str, (&'a Expr, Span)> {
     let mut sites: BTreeMap<&str, Vec<(&Expr, Span, bool)>> = BTreeMap::new();
     for proc in &design.procs {
-        let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        walk(&proc.body, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
@@ -513,7 +510,7 @@ fn classify_admission(
     graph: &PropGraph,
     aliases: &HashMap<&str, (&Expr, Span)>,
     flags: &BTreeMap<&str, (&Expr, Span)>,
-    c: &Conjunct<'_>,
+    c: &CondLeaf<'_>,
     site_span: Span,
 ) -> Option<Admission> {
     // Direct comparison, or one comb-alias hop: staleness 0. The span
@@ -573,8 +570,7 @@ impl LintPass for PrecisionPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body));
         for body in bodies {
-            let mut guards = Vec::new();
-            analysis::walk(body, &mut guards, &mut |_, stmt| {
+            walk(body, &mut |_, stmt| {
                 let Stmt::Assign { rhs, span, .. } = stmt else {
                     return;
                 };

@@ -12,12 +12,12 @@
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_ip::StdIpLib;
-use hwdbg_lint::analysis::{self, Guard};
+use hwdbg_lint::analysis;
 use hwdbg_lint::{
     registry, AssignStylePass, FsmLintPass, Level, LintConfig, LintCtx, LintPass, LintSink,
 };
 use hwdbg_obs::{SimCounters, StageTimer};
-use hwdbg_rtl::{Dir, Expr, LValue, Span, Stmt};
+use hwdbg_rtl::{walk, Dir, Expr, Guard, LValue, Span, Stmt};
 use hwdbg_testbed::{buggy_design, fixed_design, BugId};
 use hwdbg_tools::FsmMonitor;
 use std::collections::{BTreeMap, BTreeSet};
@@ -86,8 +86,7 @@ fn reference_blocking_in_seq(design: &Design, sink: &mut LintSink<'_>) {
         }
         external.extend(outputs.iter().copied());
 
-        let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
+        walk(&proc.body, &mut |_, stmt| {
             let Stmt::Assign {
                 lhs,
                 nonblocking: false,
@@ -178,8 +177,7 @@ fn reference_fsm(design: &Design, sink: &mut LintSink<'_>) {
         let mut sites: Vec<Site> = Vec::new();
         let mut analyzable = true;
         for proc in &design.procs {
-            let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            walk(&proc.body, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, rhs, .. } = stmt else {
                     return;
                 };
@@ -334,6 +332,7 @@ fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> Ar
             Guard::Arm {
                 selector: Expr::Ident(n),
                 labels,
+                ..
             } if n == state => {
                 return ArmCtx::Arm(
                     labels
@@ -346,6 +345,7 @@ fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> Ar
             }
             Guard::Default {
                 selector: Expr::Ident(n),
+                ..
             } if n == state => return ArmCtx::Default,
             _ => {}
         }

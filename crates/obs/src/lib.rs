@@ -415,6 +415,12 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn spans_nest_and_close_in_order() {
         let mut t = StageTimer::new();
         t.start("elaborate");

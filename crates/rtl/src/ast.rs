@@ -540,6 +540,11 @@ impl Expr {
         Expr::Unary(UnaryOp::Not, Box::new(a))
     }
 
+    /// `!a` (logical negation).
+    pub fn log_not(a: Expr) -> Expr {
+        Expr::Unary(UnaryOp::LogNot, Box::new(a))
+    }
+
     /// `a == b`.
     pub fn eq(a: Expr, b: Expr) -> Expr {
         Expr::Binary(BinaryOp::Eq, Box::new(a), Box::new(b))

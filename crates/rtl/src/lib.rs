@@ -32,6 +32,7 @@ pub mod parser;
 pub mod printer;
 pub mod span;
 pub mod token;
+pub mod walk;
 
 pub use ast::{
     BinaryOp, CaseArm, CaseKind, Dir, Edge, EventControl, Expr, Instance, Item, LValue, Module,
@@ -40,3 +41,4 @@ pub use ast::{
 pub use parser::{parse, parse_expr};
 pub use printer::{print, print_expr, print_lvalue, print_module};
 pub use span::{ParseError, Span};
+pub use walk::{path_condition, path_condition_with, walk, walk_mut, Guard};

@@ -74,27 +74,12 @@ impl fmt::Display for LogRecord {
 
 /// A behavioral model of a blackbox IP instance.
 pub trait Blackbox {
-    /// Combinational outputs as a function of internal state and current
-    /// inputs. Called repeatedly while the design settles, so it must be
-    /// idempotent for a given input map.
-    fn eval(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits>;
-
-    /// Evaluates a single combinational output `port` into `out`, reusing
-    /// its storage; returns false when the model does not drive the port.
-    /// This is the simulator's hot-path entry point — it may be called once
-    /// per connected output port per settle. The default delegates to
-    /// [`eval`](Self::eval) (allocating a full output map each call);
-    /// models override it to keep settling allocation-free.
-    fn eval_port(&mut self, port: &str, inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        let mut m = self.eval(inputs);
-        match m.remove(port) {
-            Some(v) => {
-                out.assign_from(&v);
-                true
-            }
-            None => false,
-        }
-    }
+    /// Evaluates the combinational output `port` from internal state and
+    /// the current `inputs` into `out`, reusing its storage; returns false
+    /// when the model does not drive the port. Called once per connected
+    /// output port per settle, so it must be idempotent for a given input
+    /// map and should not allocate.
+    fn eval_port(&mut self, port: &str, inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool;
 
     /// State update on a rising edge of the clock connected to `clock_port`,
     /// observing the pre-edge `inputs`.

@@ -1,34 +1,8 @@
 //! `hwdbg` — command-line front end for the toolkit.
 //!
-//! ```text
-//! hwdbg parse <file.v|BUG_ID> [--top NAME]          check + print the flat module
-//! hwdbg sim <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--vcd out.vcd]
-//!           [--backend tree|levelized] [--json]
-//!                                                   pick the execution backend
-//! hwdbg fsm <file.v|BUG_ID> [--top NAME]            detect FSMs (§4.2 heuristics)
-//! hwdbg deps <file.v|BUG_ID> --var SIGNAL [--cycles K]
-//!                                                   dependency chain (§4.3)
-//! hwdbg signalcat <file.v|BUG_ID> [--top NAME] [--depth N]
-//!                                                   emit instrumented Verilog (§4.1)
-//! hwdbg losscheck <file.v|BUG_ID> --source S --sink K --valid V
-//!                                                   emit instrumented Verilog (§4.5)
-//! hwdbg resources <file.v|BUG_ID> [--top NAME] [--platform harp|kc705]
-//! hwdbg testbed [BUG_ID|all]                        reproduce testbed bugs (§6.1)
-//! hwdbg faults <file.v|BUG_ID> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]
-//!                                                   inject faults mid-simulation
-//! hwdbg profile <file.v|BUG_ID> [--cycles N] [--clock CLK] [--json]
-//!                                                   stage timings + hot-path counters
-//! hwdbg lint <file.v|BUG_ID> [--json] [--deny IDS] [--allow IDS] [--warn IDS]
-//!            [--explain LXXXX]                      static bug-pattern analysis (§6)
-//! hwdbg campaign <spec|fault-matrix|seed-sweep> [--jobs N] [--json] [--out FILE]
-//!                [--job-timeout SECS] [--retries N] [--journal FILE]
-//!                [--resume FILE] [--baseline FILE]
-//!                                                   fault-tolerant simulation fleet
-//! ```
-//!
-//! BUG_ID is a testbed bug (`d2`, `C1`, ...); `--top` defaults to the
-//! file's last module; `--clock` defaults to the design's primary clock
-//! and must name one of its signals.
+//! `hwdbg help` prints the usage text ([`USAGE`], its one copy). Each
+//! subcommand accepts exactly the `--flags` its usage entry names; any
+//! other flag is an error naming the flag and the subcommand.
 //!
 //! All errors surface as rendered [`hwdbg::diag::HwdbgError`] diagnostics
 //! (stable `EXXYY` codes, source excerpts for spanned errors) rather than
@@ -88,26 +62,59 @@ fn run(args: &[String]) -> Result<(), Anyhow> {
     }
 }
 
+/// The usage text. An entry runs from its `hwdbg <command>` line to the
+/// next entry or blank line, and names every flag the command accepts.
+const USAGE: &str = "\
+hwdbg — software-style bug localization for reconfigurable hardware
+
+usage:
+hwdbg parse <file.v|BUG_ID> [--top NAME]
+    check and print the flat module
+hwdbg sim <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT]
+          [--backend tree|levelized] [--json]
+    simulate on the chosen execution backend
+hwdbg fsm <file.v|BUG_ID> [--top NAME]
+    detect FSMs (§4.2 heuristics)
+hwdbg deps <file.v|BUG_ID> --var SIGNAL [--cycles K] [--top NAME]
+    dependency chain (§4.3)
+hwdbg signalcat <file.v|BUG_ID> [--top NAME] [--depth N]
+    emit instrumented Verilog (§4.1)
+hwdbg losscheck <file.v|BUG_ID> --source S --sink K --valid V [--top NAME]
+    emit instrumented Verilog (§4.5)
+hwdbg resources <file.v|BUG_ID> [--top NAME] [--platform harp|kc705]
+    resource and timing estimate
+hwdbg testbed [BUG_ID|all]
+    reproduce testbed bugs (§6.1)
+hwdbg faults <file.v|BUG_ID> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]
+    inject faults mid-simulation
+hwdbg profile <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--json]
+    stage timings and hot-path counters
+hwdbg lint <file.v|BUG_ID> [--top NAME] [--json] [--deny IDS] [--allow IDS] [--warn IDS]
+           [--explain LXXXX]
+    static bug-pattern analysis (§6)
+hwdbg campaign <spec|fault-matrix|seed-sweep> [--jobs N] [--json] [--out FILE] [--seeds N]
+               [--job-timeout SECS] [--retries N] [--journal FILE] [--resume FILE]
+               [--baseline FILE]
+    fault-tolerant simulation fleet
+
+BUG_ID names a testbed bug (d2, C1, ...); --top defaults to the file's last module;
+--clock defaults to the design's primary clock and must name one of its signals.";
+
 fn print_usage() {
-    println!(
-        "hwdbg — software-style bug localization for reconfigurable hardware\n\n\
-         usage:\n  \
-         hwdbg parse <file.v|BUG_ID> [--top NAME]\n  \
-         hwdbg sim <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT] [--backend tree|levelized] [--json]\n  \
-         hwdbg fsm <file.v|BUG_ID> [--top NAME]\n  \
-         hwdbg deps <file.v|BUG_ID> --var SIGNAL [--cycles K] [--top NAME]\n  \
-         hwdbg signalcat <file.v|BUG_ID> [--top NAME] [--depth N]\n  \
-         hwdbg losscheck <file.v|BUG_ID> --source S --sink K --valid V [--top NAME]\n  \
-         hwdbg resources <file.v|BUG_ID> [--top NAME] [--platform harp|kc705]\n  \
-         hwdbg testbed [BUG_ID|all]\n  \
-         hwdbg faults <file.v|BUG_ID> --plan PLAN [--cycles N] [--clock CLK] [--top NAME]\n  \
-         hwdbg profile <file.v|BUG_ID> [--top NAME] [--cycles N] [--clock CLK] [--json]\n  \
-         hwdbg lint <file.v|BUG_ID> [--top NAME] [--json] [--deny IDS] [--allow IDS] [--warn IDS] [--explain LXXXX]\n  \
-         hwdbg campaign <spec|fault-matrix|seed-sweep> [--jobs N] [--json] [--out FILE] [--seeds N]\n           \
-         [--job-timeout SECS] [--retries N] [--journal FILE] [--resume FILE] [--baseline FILE]\n\n\
-         BUG_ID names a testbed bug (d2, C1, ...); --top defaults to the file's last module;\n\
-         --clock defaults to the design's primary clock and must name one of its signals."
-    );
+    println!("{USAGE}");
+}
+
+/// The flags `cmd` accepts: every `--name` in its [`USAGE`] entry.
+fn flags_of(cmd: &str) -> Vec<&'static str> {
+    let head = format!("hwdbg {cmd} ");
+    USAGE
+        .lines()
+        .skip_while(|l| !l.starts_with(&head))
+        .enumerate()
+        .take_while(|(i, l)| *i == 0 || !(l.is_empty() || l.starts_with("hwdbg ")))
+        .flat_map(|(_, l)| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter_map(|w| w.strip_prefix("--"))
+        .collect()
 }
 
 /// Minimal flag parser: positional target plus `--key value` options and
@@ -119,13 +126,20 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, Anyhow> {
+    /// Parses the arguments of subcommand `cmd`, rejecting any flag its
+    /// usage entry does not name.
+    fn parse(cmd: &str, args: &[String]) -> Result<Opts, Anyhow> {
+        let known = flags_of(cmd);
         let mut file = None;
         let mut flags = Vec::new();
         let mut json = false;
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if a == "--json" {
+            if let Some(key) = a.strip_prefix("--").filter(|k| !known.contains(k)) {
+                return Err(
+                    format!("unknown flag `--{key}` for `hwdbg {cmd}` (see `hwdbg help`)").into(),
+                );
+            } else if a == "--json" {
                 json = true;
             } else if let Some(key) = a.strip_prefix("--") {
                 let value = it
@@ -189,7 +203,7 @@ fn pick_clock(opts: &Opts, design: &Design) -> Result<String, Anyhow> {
 }
 
 fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("parse", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     println!("{}", hwdbg::rtl::print_module(&design.flat));
     eprintln!(
@@ -203,7 +217,7 @@ fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("sim", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let cycles: u64 = opts.get("cycles").unwrap_or("100").parse()?;
     let backend_name = opts.get("backend").unwrap_or("levelized").to_owned();
@@ -260,7 +274,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("fsm", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let fsms = FsmMonitor::detect(&design);
     if fsms.is_empty() {
@@ -279,7 +293,7 @@ fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_deps(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("deps", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let var = opts.get("var").ok_or("missing --var SIGNAL")?;
     let k: u32 = opts.get("cycles").unwrap_or("3").parse()?;
@@ -301,7 +315,7 @@ fn cmd_deps(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_signalcat(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("signalcat", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let cfg = SignalCatConfig {
         buffer_depth: opts.get("depth").unwrap_or("8192").parse()?,
@@ -318,7 +332,7 @@ fn cmd_signalcat(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_losscheck(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("losscheck", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let cfg = LossCheckConfig {
         source: opts.get("source").ok_or("missing --source")?.to_owned(),
@@ -336,7 +350,7 @@ fn cmd_losscheck(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_resources(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("resources", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let platform = match opts.get("platform").unwrap_or("harp") {
         "harp" => Platform::IntelHarp,
@@ -358,7 +372,8 @@ fn cmd_resources(args: &[String]) -> Result<(), Anyhow> {
 }
 
 fn cmd_testbed(args: &[String]) -> Result<(), Anyhow> {
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let opts = Opts::parse("testbed", args)?;
+    let which = opts.file.as_deref().unwrap_or("all");
     let ids: Vec<BugId> = if which == "all" {
         BugId::ALL.to_vec()
     } else {
@@ -393,7 +408,7 @@ fn cmd_testbed(args: &[String]) -> Result<(), Anyhow> {
 /// not fail the profile: it is listed under `skipped` with its error code,
 /// or `n/a` when it needs a loss spec the target does not have.
 fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("profile", args)?;
     let mut timer = StageTimer::new();
     let loaded = load(&opts, &mut timer)?;
     let (label, bug) = (loaded.label, loaded.bug);
@@ -558,7 +573,7 @@ fn depmon_target(design: &Design, bug: Option<BugId>) -> Option<String> {
 /// error. Any deny-level finding makes the command exit nonzero, so
 /// `--deny L0501` turns a lint into a CI gate.
 fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("lint", args)?;
     // `--explain LXXXX` needs no design: resolve the code and exit.
     if let Some(code) = opts.get("explain") {
         return explain_code(code, opts.json);
@@ -673,7 +688,7 @@ fn explain_code(code: &str, json: bool) -> Result<(), Anyhow> {
 }
 
 fn cmd_faults(args: &[String]) -> Result<(), Anyhow> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("faults", args)?;
     let design = load(&opts, &mut StageTimer::new())?.design;
     let plan_path = opts.get("plan").ok_or("missing --plan PLAN")?;
     let plan_src = std::fs::read_to_string(plan_path)?;
@@ -751,7 +766,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), Anyhow> {
         m.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("campaign", args)?;
     let target = opts.file.as_deref().ok_or(
         "missing campaign target: a spec file, `fault-matrix`, or `seed-sweep`",
     )?;

@@ -178,3 +178,44 @@ fn profile_lists_skipped_tools_with_their_codes() {
     assert!(!json.contains("\"tool\": \"depmon\""), "{json}");
     assert!(json_u64(&json, "dep_updates") > 0, "{json}");
 }
+
+/// A flag the subcommand does not take is an error naming the flag and
+/// the subcommand, not silently ignored: `--cycle` is not `--cycles`, and
+/// `--json` means nothing to `fsm`.
+#[test]
+fn unknown_flags_are_rejected_with_the_subcommand() {
+    let file = design_file("cli_flag_counter.v", CLOCK_COUNTER);
+    for (args, flag, cmd) in [
+        (vec!["sim", &file, "--cycle", "5"], "--cycle", "hwdbg sim"),
+        (vec!["fsm", &file, "--json"], "--json", "hwdbg fsm"),
+        (vec!["campaign", "seed-sweep", "--top", "x"], "--top", "hwdbg campaign"),
+        (vec!["testbed", "d2", "--cycles", "5"], "--cycles", "hwdbg testbed"),
+    ] {
+        let out = hwdbg(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("`{flag}`")), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{cmd}`")), "{args:?}: {stderr}");
+    }
+}
+
+/// Every flag a usage entry names is accepted by its subcommand: `--top`
+/// on `deps`, `profile` and `lint`, which the usage text once left out.
+#[test]
+fn usage_flags_are_accepted() {
+    let file = design_file("cli_usage_counter.v", CLOCK_COUNTER);
+    let usage = String::from_utf8_lossy(&hwdbg(&["help"]).stdout).into_owned();
+    for entry in ["hwdbg deps", "hwdbg profile", "hwdbg lint"] {
+        let line = usage.lines().find(|l| l.starts_with(entry)).unwrap_or_default();
+        assert!(line.contains("[--top NAME]"), "{entry}: {usage}");
+    }
+    for args in [
+        vec!["deps", &file, "--var", "q", "--top", "counter"],
+        vec!["profile", &file, "--top", "counter", "--cycles", "3", "--json"],
+        vec!["lint", &file, "--top", "counter", "--json"],
+        vec!["sim", &file, "--top", "counter", "--cycles", "3", "--clock", "clock"],
+    ] {
+        let out = hwdbg(&args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
